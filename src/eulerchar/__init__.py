@@ -21,11 +21,8 @@ from .clifford import (  # noqa: F401
     exp,
     gamma,
     generator,
-    geometric_product,
-    grade_project,
     pseudoscalar,
     random_rotor,
-    reverse,
     sandwich_sum,
     versor_frame,
 )
@@ -39,7 +36,7 @@ from .fields import (  # noqa: F401
     builtin_names,
     field_from_spec,
 )
-from .domains import BallDomain, BoxDomain, DomainError, domain_from_spec  # noqa: F401
+from .domains import BallDomain, BoxDomain, DomainError  # noqa: F401
 from .winding import (  # noqa: F401
     SphereQuadrature,
     UndersampledError,
@@ -74,7 +71,6 @@ from .manifolds import (  # noqa: F401
     FlatTorus,
     ManifoldError,
     SphereManifold,
-    manifold_from_spec,
 )
 from .boundary import BoundaryReport, chi_with_boundary  # noqa: F401
 from .gbc import (  # noqa: F401

@@ -29,6 +29,7 @@ from scipy.optimize import brentq
 from .domains import BallDomain
 from .fields import CallableField, VectorField
 from .manifolds import SphereManifold
+from .report import Record
 from .triangulations import chi_oracle
 from .winding import sphere_mesh
 from .zeros import find_zeros, total_index
@@ -45,7 +46,7 @@ class BoundaryError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BoundaryZeroRecord:
+class BoundaryZeroRecord(Record):
     """Zero of the tangential field on the boundary sphere."""
 
     location: tuple          # ambient coordinates
@@ -55,19 +56,9 @@ class BoundaryZeroRecord:
     normal_component: float  # phi . m at the zero
     chart: str
 
-    def to_dict(self) -> dict:
-        return {
-            "location": list(self.location),
-            "winding": self.winding,
-            "inward": self.inward,
-            "alpha": self.alpha,
-            "normal_component": self.normal_component,
-            "chart": self.chart,
-        }
-
 
 @dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(Record):
     interior_sum: int
     boundary_all_half: float
     boundary_inward: int
@@ -78,24 +69,6 @@ class BoundaryReport:
     flags: tuple
     zeros: tuple             # interior ZeroRecords
     boundary_zeros: tuple    # BoundaryZeroRecords
-
-    def to_dict(self) -> dict:
-        return {
-            "interior_sum": self.interior_sum,
-            "boundary_all_half": self.boundary_all_half,
-            "boundary_inward": self.boundary_inward,
-            "chi_paper": self.chi_paper,
-            "chi_morse": self.chi_morse,
-            "chi_oracle": self.chi_oracle,
-            "endorsed": self.endorsed,
-            "flags": list(self.flags),
-            "zeros": [z.to_dict() for z in self.zeros],
-            "boundary_zeros": [z.to_dict() for z in self.boundary_zeros],
-        }
-
-
-def outward_normal(ball: BallDomain, p) -> np.ndarray:
-    return ball.outward_normal(p)
 
 
 def tangential_project(field: VectorField, ball: BallDomain, p) -> np.ndarray:
@@ -146,6 +119,19 @@ def _classify(field: VectorField, ball: BallDomain):
     return [], cos_alpha
 
 
+def _boundary_record(field: VectorField, ball: BallDomain, p, winding: int,
+                     chart: str) -> BoundaryZeroRecord:
+    normal_comp = float(np.dot(field.evaluate(p), ball.outward_normal(p)))
+    return BoundaryZeroRecord(
+        location=tuple(p.tolist()),
+        winding=winding,
+        inward=normal_comp < 0.0,
+        alpha=alpha_angle(field, ball, p),
+        normal_component=normal_comp,
+        chart=chart,
+    )
+
+
 def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
     """Isolated zeros of the 1-D boundary field f(t) = phi . tangent."""
     c = np.asarray(ball.center)
@@ -167,17 +153,7 @@ def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
             root = brentq(f, th[k] - 1e-9, th[k + 1], xtol=1e-14)
             w = 1 if (b - a) > 0 else -1
             p = c + r * np.array([math.cos(root), math.sin(root)])
-            m = ball.outward_normal(p)
-            phi = field.evaluate(p)
-            normal_comp = float(np.dot(phi, m))
-            records.append(BoundaryZeroRecord(
-                location=tuple(p.tolist()),
-                winding=w,
-                inward=normal_comp < 0.0,
-                alpha=alpha_angle(field, ball, p),
-                normal_component=normal_comp,
-                chart="circle",
-            ))
+            records.append(_boundary_record(field, ball, p, w, "circle"))
         elif abs(a) < TOUCH_TOL and abs(b) < TOUCH_TOL:
             raise BoundaryError(
                 "boundary field hugs zero without crossing; zeros not isolated"
@@ -200,20 +176,8 @@ def _sphere_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
                         name=f"{field.name}-tangential", batch=True)
     sphere = SphereManifold(radius=r, center=c, ambient_dim=ball.dimension)
     result = sphere.index_sum(par)
-    records = []
-    for z in result.zeros:
-        p = np.asarray(z.ambient)
-        m = ball.outward_normal(p)
-        phi = field.evaluate(p)
-        normal_comp = float(np.dot(phi, m))
-        records.append(BoundaryZeroRecord(
-            location=tuple(p.tolist()),
-            winding=z.winding,
-            inward=normal_comp < 0.0,
-            alpha=alpha_angle(field, ball, p),
-            normal_component=normal_comp,
-            chart=z.chart,
-        ))
+    records = [_boundary_record(field, ball, np.asarray(z.ambient), z.winding, z.chart)
+               for z in result.zeros]
     records.sort(key=lambda z: z.location)
     return records
 

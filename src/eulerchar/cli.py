@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 from . import __version__
@@ -23,13 +24,12 @@ from .connection import annulus_grid, flatness_scan, hedgehog_frame_field
 from .domains import BallDomain
 from .fields import builtin_names, field_from_spec
 from .gbc import catalog_manifold, catalog_manifold_names, integrate_euler
-from .manifolds import FlatTorus, SphereManifold
+from .manifolds import CHART_RESOLUTION, FlatTorus, ManifoldError, SphereManifold
 from .report import format_table, render_report, summary_row
 from .triangulations import catalog_names, chi_oracle
 from .winding import default_quadrature
-from .zeros import index_sum_with_excision
+from .zeros import DEFAULT_RESOLUTION, index_sum_with_excision
 
-METHODS = ("index-sum", "boundary-theorem", "gbc-integral", "flatness-scan")
 _TOP_KEYS = {"schema", "name", "description", "methods", "domain", "field",
              "frame", "resolutions"}
 _RES_KEYS = {"grid", "scale", "radial", "angular", "loop_segments"}
@@ -104,73 +104,41 @@ def validate_scenario(obj, origin: str):
         )
 
 
-# -- method runners ------------------------------------------------------
+# -- spec layer: objects from scenario JSON -----------------------------
 
 
-def _grid_res(sc, dim: int, cli_scale: float) -> int | None:
-    """Zero-scan grid resolution: per-dimension default unless overridden."""
-    base = sc.get("resolutions", {}).get("grid")
-    if base is None and cli_scale == 1.0:
-        return None
-    if base is None:
-        base = {1: 64, 2: 32, 3: 16, 4: 10}[dim]
-    return max(4, int(round(base * cli_scale)))
+@contextmanager
+def _spec_errors():
+    """Errors raised while building objects from a scenario are input errors."""
+    try:
+        yield
+    except KeyError as e:
+        raise ScenarioError(f"missing key {e}") from None
+    except (TypeError, ValueError, ManifoldError) as e:
+        raise ScenarioError(str(e)) from None
 
 
-def _quad_scale(sc, cli_scale: float) -> float:
-    return float(sc.get("resolutions", {}).get("scale", 1.0)) * cli_scale
-
-
-def _run_index_sum(sc, cli_scale):
+def _ball_and_field(sc):
     domain = sc["domain"]
-    kind = domain.get("kind")
+    ball = BallDomain(tuple(domain["center"]), float(domain["radius"]))
     field = field_from_spec(sc["field"])
-    if kind == "ball":
-        ball = BallDomain(tuple(domain["center"]), float(domain["radius"]))
-        if field.dimension != ball.dimension:
-            raise ScenarioError("field and ball dimensions differ")
-        result = index_sum_with_excision(
-            field, ball,
-            resolution=_grid_res(sc, ball.dimension, cli_scale),
-            quadrature=default_quadrature(ball.dimension, _quad_scale(sc, cli_scale)),
-        )
-        agree = result.agree and result.oracle_agree
-        row = summary_row("index-sum", result.enclosing_raw,
-                          result.enclosing_winding, result.oracle_degree,
-                          result.enclosing_raw - result.enclosing_winding, agree)
-        return row, result.to_dict()
+    if field.dimension != ball.dimension:
+        raise ScenarioError("field and ball dimensions differ")
+    return ball, field
+
+
+def _closed_manifold(domain):
+    """(manifold, default grid of its zero scan) for an index sum."""
+    kind = domain.get("kind")
     if kind == "sphere":
         m = SphereManifold(radius=float(domain.get("radius", 1.0)),
                            center=domain.get("center"),
                            ambient_dim=int(domain.get("ambient_dim", 3)))
-        result = m.index_sum(field,
-                             resolution=_grid_res(sc, m.chart_dim, cli_scale))
-    elif kind == "torus":
-        m = FlatTorus(periods=tuple(domain.get("periods", (1.0, 1.0))))
-        result = m.index_sum(field, resolution=_grid_res(sc, 2, cli_scale))
-    else:
-        raise ScenarioError(f"index-sum does not support domain kind {kind!r}")
-    raw = float(sum(z.record.winding_raw for z in result.zeros))
-    row = summary_row("index-sum", raw, result.total, result.chi_oracle,
-                      raw - result.total, result.agree)
-    return row, result.to_dict()
-
-
-def _run_boundary(sc, cli_scale, assert_paper):
-    domain = sc["domain"]
-    if domain.get("kind") != "ball":
-        raise ScenarioError("boundary-theorem needs a ball domain")
-    ball = BallDomain(tuple(domain["center"]), float(domain["radius"]))
-    field = field_from_spec(sc["field"])
-    report = chi_with_boundary(field, ball,
-                               resolution=_grid_res(sc, ball.dimension, cli_scale))
-    agree = report.chi_morse == report.chi_oracle
-    if report.endorsed or assert_paper:
-        agree = agree and report.chi_paper == report.chi_oracle
-    row = summary_row("boundary-theorem", float(report.chi_morse),
-                      report.chi_morse, report.chi_oracle,
-                      report.chi_paper - report.chi_morse, agree)
-    return row, report.to_dict()
+        return m, CHART_RESOLUTION[m.chart_dim]
+    if kind == "torus":
+        return (FlatTorus(periods=tuple(domain.get("periods", (1.0, 1.0)))),
+                DEFAULT_RESOLUTION[2])
+    raise ScenarioError(f"index-sum does not support domain kind {kind!r}")
 
 
 def _gbc_manifold(domain):
@@ -187,14 +155,69 @@ def _gbc_manifold(domain):
     raise ScenarioError(f"gbc-integral does not support domain kind {kind!r}")
 
 
-_GBC_ORACLE = {"s2": "S2", "s4": "S4", "torus-flat": "T2", "torus-embedded": "T2"}
+def _grid_res(sc, default: int, scale: float) -> int | None:
+    """Zero-scan grid: the scenario's grid, else the scanner's default, times
+    the scale; None leaves the scanner's default untouched."""
+    base = sc.get("resolutions", {}).get("grid")
+    if base is None and scale == 1.0:
+        return None
+    return max(4, int(round(float(default if base is None else base) * scale)))
 
 
-def _run_gbc(sc, cli_scale):
-    manifold = _gbc_manifold(sc["domain"])
-    result = integrate_euler(manifold, scale=_quad_scale(sc, cli_scale))
-    base = manifold.name.split("(")[0]
-    oracle = chi_oracle(_GBC_ORACLE[base])
+def _quad_scale(sc, scale: float) -> float:
+    return float(sc.get("resolutions", {}).get("scale", 1.0)) * scale
+
+
+# -- method runners ------------------------------------------------------
+
+
+def _run_index_sum(sc, scale, assert_paper):
+    if sc["domain"].get("kind") == "ball":
+        with _spec_errors():
+            ball, field = _ball_and_field(sc)
+            quad = default_quadrature(ball.dimension, _quad_scale(sc, scale))
+            res = _grid_res(sc, DEFAULT_RESOLUTION[ball.dimension], scale)
+        result = index_sum_with_excision(field, ball, resolution=res, quadrature=quad)
+        agree = result.agree and result.oracle_agree
+        row = summary_row("index-sum", result.enclosing_raw,
+                          result.enclosing_winding, result.oracle_degree,
+                          result.enclosing_raw - result.enclosing_winding, agree)
+        return row, result.to_dict()
+    with _spec_errors():
+        field = field_from_spec(sc["field"])
+        m, default = _closed_manifold(sc["domain"])
+        res = _grid_res(sc, default, scale)
+    result = m.index_sum(field, resolution=res)
+    raw = float(sum(z.winding_raw for z in result.zeros))
+    row = summary_row("index-sum", raw, result.total, result.chi_oracle,
+                      raw - result.total, result.agree)
+    return row, result.to_dict()
+
+
+def _run_boundary(sc, scale, assert_paper):
+    if sc["domain"].get("kind") != "ball":
+        raise ScenarioError("boundary-theorem needs a ball domain")
+    with _spec_errors():
+        ball, field = _ball_and_field(sc)
+        if ball.dimension not in (2, 4):
+            raise ScenarioError("boundary-theorem needs a 2- or 4-dimensional ball")
+        res = _grid_res(sc, DEFAULT_RESOLUTION[ball.dimension], scale)
+    report = chi_with_boundary(field, ball, resolution=res)
+    agree = report.chi_morse == report.chi_oracle
+    if report.endorsed or assert_paper:
+        agree = agree and report.chi_paper == report.chi_oracle
+    row = summary_row("boundary-theorem", float(report.chi_morse),
+                      report.chi_morse, report.chi_oracle,
+                      report.chi_paper - report.chi_morse, agree)
+    return row, report.to_dict()
+
+
+def _run_gbc(sc, scale, assert_paper):
+    with _spec_errors():
+        manifold = _gbc_manifold(sc["domain"])
+        quad_scale = _quad_scale(sc, scale)
+    result = integrate_euler(manifold, scale=quad_scale)
+    oracle = chi_oracle(manifold.oracle)
     agree = result.rounded == oracle
     row = summary_row("gbc-integral", result.raw, result.rounded, oracle,
                       result.residual, agree)
@@ -204,25 +227,26 @@ def _run_gbc(sc, cli_scale):
     return row, payload
 
 
-def _run_flatness(sc, cli_scale):
+def _run_flatness(sc, scale, assert_paper):
     frame_spec = sc["frame"]
     if frame_spec.get("kind") != "hedgehog":
         raise ScenarioError(f"unknown frame kind {frame_spec.get('kind')!r}")
-    k = int(frame_spec.get("winding", 1))
-    ff = hedgehog_frame_field(k)
     domain = sc["domain"]
     if domain.get("kind") != "annulus":
         raise ScenarioError("flatness-scan needs an annulus domain")
     res = sc.get("resolutions", {})
-    grid = annulus_grid(
-        float(domain.get("r_inner", 0.5)), float(domain.get("r_outer", 1.4)),
-        radial=max(2, int(round(res.get("radial", 8) * cli_scale))),
-        angular=max(4, int(round(res.get("angular", 24) * cli_scale))),
-    )
-    rep = flatness_scan(ff, grid_points=grid,
-                        loop_radius=float(domain.get("loop_radius", 0.9)),
-                        loop_segments=max(64, int(round(
-                            res.get("loop_segments", 512) * cli_scale))))
+    with _spec_errors():
+        k = int(frame_spec.get("winding", 1))
+        ff = hedgehog_frame_field(k)
+        grid = annulus_grid(
+            float(domain.get("r_inner", 0.5)), float(domain.get("r_outer", 1.4)),
+            radial=max(2, int(round(res.get("radial", 8) * scale))),
+            angular=max(4, int(round(res.get("angular", 24) * scale))),
+        )
+        loop_radius = float(domain.get("loop_radius", 0.9))
+        loop_segments = max(64, int(round(res.get("loop_segments", 512) * scale)))
+    rep = flatness_scan(ff, grid_points=grid, loop_radius=loop_radius,
+                        loop_segments=loop_segments)
     flux = rep.fluxes[0]
     agree = (flux.quantum_rounded == k
              and rep.max_curvature_norm < FLATNESS_TOL)
@@ -247,19 +271,21 @@ def _run_flatness(sc, cli_scale):
     return row, payload
 
 
+_RUNNERS = {
+    "index-sum": _run_index_sum,
+    "boundary-theorem": _run_boundary,
+    "gbc-integral": _run_gbc,
+    "flatness-scan": _run_flatness,
+}
+METHODS = tuple(_RUNNERS)
+
+
 def run_scenario(sc: dict, scale: float = 1.0, assert_paper: bool = False):
     """(report dict, summary rows, all-agree flag) for one scenario."""
     rows = []
     methods_payload = {}
     for method in sc["methods"]:
-        if method == "index-sum":
-            row, payload = _run_index_sum(sc, scale)
-        elif method == "boundary-theorem":
-            row, payload = _run_boundary(sc, scale, assert_paper)
-        elif method == "gbc-integral":
-            row, payload = _run_gbc(sc, scale)
-        else:
-            row, payload = _run_flatness(sc, scale)
+        row, payload = _RUNNERS[method](sc, scale, assert_paper)
         rows.append(row)
         methods_payload[method] = payload
     report = {

@@ -10,7 +10,6 @@ geometric product a single vectorized scatter-add.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -189,9 +188,6 @@ class Multivector:
         """Max-abs over blade coefficients."""
         return float(np.max(np.abs(self.coeffs)))
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
         self._check_peer(other)
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
@@ -219,18 +215,6 @@ def gamma(dimension: int, a: int) -> Multivector:
 
 def pseudoscalar(dimension: int) -> Multivector:
     return Multivector.blade(dimension, (1 << dimension) - 1)
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def grade_project(a: Multivector, r: int) -> Multivector:
-    return a.grade_project(r)
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:

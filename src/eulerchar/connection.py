@@ -350,16 +350,6 @@ def annulus_grid(r_inner: float, r_outer: float, radial: int = 8,
     return pts + c
 
 
-def box_grid(ff: FrameField, resolution: int, h: float,
-             min_clearance: float = 0.0) -> np.ndarray:
-    axes = [np.linspace(lo + 3 * h, hi - 3 * h, resolution)
-            for lo, hi in zip(ff.chart_lo, ff.chart_hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = np.array([ff.clearance(p) > max(min_clearance, 4 * h) for p in pts])
-    return pts[keep]
-
-
 def holonomy_flux(ff: FrameField, singular_point, loop_radius: float,
                   segments: int = 512, h: float = DEFAULT_STEP) -> FluxResult:
     """Loop integral of -2 * (gamma_1 gamma_2 component of omega_0).
@@ -392,13 +382,10 @@ def holonomy_flux(ff: FrameField, singular_point, loop_radius: float,
     )
 
 
-def flatness_scan(ff: FrameField, grid_points=None, resolution: int = 12,
-                  h: float = DEFAULT_STEP, min_clearance: float = 0.0,
+def flatness_scan(ff: FrameField, grid_points, h: float = DEFAULT_STEP,
                   loop_radius: float | None = None,
                   loop_segments: int = 512) -> FlatnessReport:
-    """Check F(omega_0) = 0 away from singular points; measure their flux."""
-    if grid_points is None:
-        grid_points = box_grid(ff, resolution, h, min_clearance)
+    """Check F(omega_0) = 0 at grid_points; measure the singular points' flux."""
     grid_points = np.asarray(grid_points, dtype=float)
 
     conn_fn = lambda y: pseudo_flat_connection(ff, y, h)

@@ -83,12 +83,3 @@ class BoxDomain:
 
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-
-
-def domain_from_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind == "ball":
-        return BallDomain(tuple(spec["center"]), float(spec["radius"]))
-    if kind == "box":
-        return BoxDomain(tuple(spec["lo"]), tuple(spec["hi"]))
-    raise DomainError(f"unknown domain kind {kind!r}")

@@ -25,7 +25,9 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy.special import roots_legendre
+
+from .report import Record
+from .winding import azimuth_rule, polar_rule, scaled_count, tensor_rule
 
 MAX_PFAFFIAN_SIZE = 8
 CHUNK = 8192
@@ -132,39 +134,15 @@ def _contract_batch(fs: np.ndarray) -> np.ndarray:
 # -- catalog of curved manifolds ----------------------------------------
 
 
-def _angle_rules(spec, scale):
-    """Product quadrature from per-axis (kind, count) rules.
-
-    kind 'gl' is Gauss-Legendre on [0, pi]; 'trap' is the uniform rule
-    on [0, 2 pi) (exact for trig polynomials below the node count).
-    """
-    axes = []
-    weights = []
-    for kind, count in spec:
-        cnt = max(4, int(round(count * scale)))
-        if kind == "gl":
-            xi, wi = roots_legendre(cnt)
-            axes.append(0.5 * math.pi * (xi + 1.0))
-            weights.append(0.5 * math.pi * wi)
-        elif kind == "trap":
-            axes.append(2.0 * math.pi * np.arange(cnt) / cnt)
-            weights.append(np.full(cnt, 2.0 * math.pi / cnt))
-        else:
-            raise GbcError(f"unknown rule {kind!r}")
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for w in wgrids:
-        wts = wts * w.ravel()
-    return pts, wts
-
-
 class CurvedManifold:
-    """Chart, volume density, and frame curvature of a catalog manifold."""
+    """Chart, volume density, and frame curvature of a catalog manifold.
+
+    ``oracle`` names the reference triangulation with the same chi.
+    """
 
     name = "manifold"
     dimension = 2
+    oracle = None
 
     def quadrature(self, scale: float = 1.0):
         raise NotImplementedError
@@ -202,6 +180,7 @@ class RoundSphere2(CurvedManifold):
     """S^2 of radius r on the polar chart (theta, phi)."""
 
     dimension = 2
+    oracle = "S2"
 
     def __init__(self, radius: float = 1.0):
         if radius <= 0:
@@ -210,7 +189,8 @@ class RoundSphere2(CurvedManifold):
         self.name = f"s2(r={self.radius:g})"
 
     def quadrature(self, scale=1.0):
-        return _angle_rules([("gl", 64), ("trap", 128)], scale)
+        return tensor_rule([polar_rule(scaled_count(64, scale)),
+                            azimuth_rule(scaled_count(128, scale))])
 
     def sqrt_g(self, pts):
         return self.radius ** 2 * np.sin(pts[:, 0])
@@ -229,17 +209,15 @@ class FlatTorusMetric(CurvedManifold):
     """Flat T^2: zero curvature on the periodic unit-square chart."""
 
     dimension = 2
+    oracle = "T2"
 
     def __init__(self):
         self.name = "torus-flat"
 
     def quadrature(self, scale=1.0):
-        cnt = max(4, int(round(64 * scale)))
-        xs = np.arange(cnt) / cnt
-        g = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([a.ravel() for a in g], axis=-1)
-        wts = np.full(pts.shape[0], 1.0 / cnt ** 2)
-        return pts, wts
+        cnt = scaled_count(64, scale)
+        unit = (np.arange(cnt) / cnt, np.full(cnt, 1.0 / cnt))
+        return tensor_rule([unit, unit])
 
     def sqrt_g(self, pts):
         return np.ones(pts.shape[0])
@@ -257,6 +235,7 @@ class EmbeddedTorus(CurvedManifold):
     """
 
     dimension = 2
+    oracle = "T2"
 
     def __init__(self, big_radius: float = 2.0, small_radius: float = 1.0):
         if small_radius <= 0 or big_radius <= small_radius:
@@ -266,7 +245,7 @@ class EmbeddedTorus(CurvedManifold):
         self.name = f"torus-embedded(R={self.big_radius:g},r={self.small_radius:g})"
 
     def quadrature(self, scale=1.0):
-        return _angle_rules([("trap", 96), ("trap", 96)], scale)
+        return tensor_rule([azimuth_rule(scaled_count(96, scale))] * 2)
 
     def sqrt_g(self, pts):
         return self.small_radius * (self.big_radius
@@ -287,6 +266,7 @@ class RoundSphere4(CurvedManifold):
     """S^4 of radius r on polar angles (psi1, psi2, psi3, phi)."""
 
     dimension = 4
+    oracle = "S4"
 
     def __init__(self, radius: float = 1.0):
         if radius <= 0:
@@ -295,7 +275,8 @@ class RoundSphere4(CurvedManifold):
         self.name = f"s4(r={self.radius:g})"
 
     def quadrature(self, scale=1.0):
-        return _angle_rules([("gl", 16), ("gl", 16), ("gl", 16), ("trap", 32)], scale)
+        return tensor_rule([polar_rule(scaled_count(16, scale))] * 3
+                           + [azimuth_rule(scaled_count(32, scale))])
 
     def sqrt_g(self, pts):
         return (self.radius ** 4 * np.sin(pts[:, 0]) ** 3
@@ -309,23 +290,13 @@ class RoundSphere4(CurvedManifold):
 
 
 @dataclass(frozen=True)
-class GbcResult:
+class GbcResult(Record):
     manifold: str
     raw: float
     rounded: int
     residual: float
     nodes: int
     scale: float
-
-    def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "raw": self.raw,
-            "rounded": self.rounded,
-            "residual": self.residual,
-            "nodes": self.nodes,
-            "scale": self.scale,
-        }
 
 
 def integrate_euler(manifold: CurvedManifold, scale: float = 1.0,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .domains import BallDomain, BoxDomain
 from .fields import CallableField, VectorField
+from .report import Record
 from .triangulations import chi_oracle
 from .zeros import BoundaryZoneError, ZeroRecord, find_zeros
 
@@ -30,7 +31,7 @@ SEAM_ATTEMPTS = 4
 SEAM_SEED = 987123
 PERIOD_TOL = 1e-9
 
-_CHART_RESOLUTION = {2: 24, 3: 12}
+CHART_RESOLUTION = {2: 24, 3: 12}
 
 
 class ManifoldError(RuntimeError):
@@ -38,44 +39,52 @@ class ManifoldError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChartZero:
+class ChartZero(ZeroRecord):
     """A zero seen through one chart, lifted back to the ambient manifold."""
 
     ambient: tuple
     chart: str
     chart_location: tuple
-    record: ZeroRecord
-
-    @property
-    def winding(self) -> int:
-        return self.record.winding
-
-    def to_dict(self) -> dict:
-        d = self.record.to_dict()
-        d["ambient"] = list(self.ambient)
-        d["chart"] = self.chart
-        d["chart_location"] = list(self.chart_location)
-        return d
 
 
 @dataclass(frozen=True)
-class ClosedIndexResult:
-    zeros: tuple
+class ClosedIndexResult(Record):
     total: int
     chi_oracle: int
     agree: bool
     attempts: int
     flags: tuple
+    zeros: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "chi_oracle": self.chi_oracle,
-            "agree": self.agree,
-            "attempts": self.attempts,
-            "flags": list(self.flags),
-            "zeros": [z.to_dict() for z in self.zeros],
-        }
+
+def _seam_search(try_tile, oracle: str, seam: str) -> ClosedIndexResult:
+    """Retry tiles until no zero sits in the seam guard.
+
+    try_tile(attempt, rng) scans one tile and returns its ChartZeros, or
+    None when a zero lands in the guard band; attempt 0 is the unmoved
+    tile and draws nothing from rng.
+    """
+    rng = np.random.default_rng(SEAM_SEED)
+    flags = []
+    for attempt in range(SEAM_ATTEMPTS):
+        zeros = try_tile(attempt, rng)
+        if zeros is None:
+            flags.append(f"seam-retry-{attempt}")
+            continue
+        zeros.sort(key=lambda z: z.ambient)
+        total = int(sum(z.winding for z in zeros))
+        chi = chi_oracle(oracle)
+        return ClosedIndexResult(
+            total=total,
+            chi_oracle=chi,
+            agree=total == chi,
+            attempts=attempt + 1,
+            flags=tuple(flags),
+            zeros=tuple(zeros),
+        )
+    raise ManifoldError(
+        f"zeros kept landing on the {seam} after {SEAM_ATTEMPTS} attempts"
+    )
 
 
 def _rotation_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,6 +130,8 @@ class SphereManifold:
                        else np.asarray(center, dtype=float))
         if self.radius <= 0:
             raise ManifoldError("radius must be positive")
+        if self.center.shape != (self.ambient_dim,):
+            raise ManifoldError(f"center must have {self.ambient_dim} components")
 
     @property
     def chart_dim(self) -> int:
@@ -182,46 +193,26 @@ class SphereManifold:
             raise ManifoldError(
                 f"field is not tangent to the sphere (residual {tang:.3e})"
             )
-        rng = np.random.default_rng(SEAM_SEED)
-        res = resolution or _CHART_RESOLUTION[self.chart_dim]
+        res = resolution or CHART_RESOLUTION[self.chart_dim]
         guard_lo = 1.0 - SEAM_GUARD
         guard_hi = 1.0 / guard_lo
         scan = BallDomain((0.0,) * self.chart_dim, guard_hi + 0.05)
-        flags = []
 
-        for attempt in range(SEAM_ATTEMPTS):
+        def try_tile(attempt, rng):
             rot = (np.eye(self.ambient_dim) if attempt == 0
                    else _rotation_matrix(self.ambient_dim, rng))
             work = field if attempt == 0 else _rotated_field(field, rot, self.center)
-            found = []
-            seam_hit = False
+            zeros = []
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                chart_field = self.pushforward(work, sign)
-                records = find_zeros(chart_field, scan, resolution=res)
-                for z in records:
+                for z in find_zeros(self.pushforward(work, sign), scan, resolution=res):
                     rho = float(np.linalg.norm(z.location))
                     if guard_lo < rho < guard_hi:
-                        seam_hit = True
-                        break
+                        return None
                     if rho <= 1.0:
-                        found.append((tag, z))
-                if seam_hit:
-                    break
-            if seam_hit:
-                flags.append(f"seam-retry-{attempt}")
-                continue
-
-            zeros = []
-            for tag, z in found:
-                xi = np.asarray(z.location)
-                p_rot = self.chart_point(xi, 1.0 if tag == "+" else -1.0)[0]
-                ambient = self.center + rot.T @ (p_rot - self.center)
-                zeros.append(ChartZero(
-                    ambient=tuple(ambient.tolist()),
-                    chart=tag,
-                    chart_location=tuple(xi.tolist()),
-                    record=z,
-                ))
+                        p_rot = self.chart_point(np.asarray(z.location), sign)[0]
+                        ambient = self.center + rot.T @ (p_rot - self.center)
+                        zeros.append(ChartZero(**vars(z), ambient=tuple(ambient.tolist()),
+                                               chart=tag, chart_location=z.location))
             for i in range(len(zeros)):
                 for j in range(i + 1, len(zeros)):
                     gap = np.linalg.norm(np.asarray(zeros[i].ambient)
@@ -230,20 +221,10 @@ class SphereManifold:
                         raise ManifoldError(
                             "duplicate zero across charts; seam guard failed"
                         )
-            total = int(sum(z.winding for z in zeros))
-            oracle = chi_oracle("S2" if self.chart_dim == 2 else "S3")
-            zeros.sort(key=lambda z: z.ambient)
-            return ClosedIndexResult(
-                zeros=tuple(zeros),
-                total=total,
-                chi_oracle=oracle,
-                agree=total == oracle,
-                attempts=attempt + 1,
-                flags=tuple(flags),
-            )
-        raise ManifoldError(
-            f"zeros kept landing on the chart seam after {SEAM_ATTEMPTS} attempts"
-        )
+            return zeros
+
+        return _seam_search(try_tile, "S2" if self.chart_dim == 2 else "S3",
+                            "chart seam")
 
 
 class FlatTorus:
@@ -253,8 +234,8 @@ class FlatTorus:
 
     def __init__(self, periods=(1.0, 1.0)):
         self.periods = tuple(float(p) for p in periods)
-        if any(p <= 0 for p in self.periods):
-            raise ManifoldError("periods must be positive")
+        if len(self.periods) != 2 or any(p <= 0 for p in self.periods):
+            raise ManifoldError("a flat 2-torus needs two positive periods")
 
     def periodicity_residual(self, field: VectorField, samples: int = 16) -> float:
         rng = np.random.default_rng(SEAM_SEED)
@@ -268,62 +249,28 @@ class FlatTorus:
                 field.evaluate_many(pts + shift) - base))))
         return worst
 
-    def index_sum(self, field: VectorField, resolution: int = 32) -> ClosedIndexResult:
+    def index_sum(self, field: VectorField, resolution: int | None = None) -> ClosedIndexResult:
         perr = self.periodicity_residual(field)
         if perr > PERIOD_TOL:
             raise ManifoldError(f"field is not periodic (residual {perr:.3e})")
-        rng = np.random.default_rng(SEAM_SEED)
         px, py = self.periods
         guard = SEAM_GUARD * min(self.periods)
-        flags = []
-        for attempt in range(SEAM_ATTEMPTS):
+
+        def try_tile(attempt, rng):
             shift = (np.zeros(2) if attempt == 0
                      else rng.uniform(0.0, 1.0, size=2) * np.asarray(self.periods))
             box = BoxDomain(tuple(shift), (shift[0] + px, shift[1] + py))
             try:
                 records = find_zeros(field, box, resolution=resolution)
             except BoundaryZoneError:
-                flags.append(f"seam-retry-{attempt}")
-                continue
+                return None
             edge_dist = min((box.boundary_distance(np.asarray(z.location))
                              for z in records), default=math.inf)
             if edge_dist < guard:
-                flags.append(f"seam-retry-{attempt}")
-                continue
-            zeros = []
-            for z in records:
-                wrapped = tuple(float(np.mod(c, p))
-                                for c, p in zip(z.location, self.periods))
-                zeros.append(ChartZero(
-                    ambient=wrapped,
-                    chart="tile",
-                    chart_location=tuple(z.location),
-                    record=z,
-                ))
-            zeros.sort(key=lambda z: z.ambient)
-            total = int(sum(z.winding for z in zeros))
-            oracle = chi_oracle("T2")
-            return ClosedIndexResult(
-                zeros=tuple(zeros),
-                total=total,
-                chi_oracle=oracle,
-                agree=total == oracle,
-                attempts=attempt + 1,
-                flags=tuple(flags),
-            )
-        raise ManifoldError(
-            f"zeros kept landing on the tile edges after {SEAM_ATTEMPTS} attempts"
-        )
+                return None
+            return [ChartZero(**vars(z), chart="tile", chart_location=z.location,
+                              ambient=tuple(float(np.mod(c, p))
+                                            for c, p in zip(z.location, self.periods)))
+                    for z in records]
 
-
-def manifold_from_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind == "sphere":
-        return SphereManifold(
-            radius=float(spec.get("radius", 1.0)),
-            center=spec.get("center"),
-            ambient_dim=int(spec.get("ambient_dim", 3)),
-        )
-    if kind == "torus":
-        return FlatTorus(periods=tuple(spec.get("periods", (1.0, 1.0))))
-    raise ManifoldError(f"unknown manifold kind {kind!r}")
+        return _seam_search(try_tile, "T2", "tile edges")

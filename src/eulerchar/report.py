@@ -3,11 +3,13 @@
 Reports must be byte-identical across runs, so every float is rounded
 to 12 significant digits before serialization, containers keep their
 construction order, and nothing time- or environment-dependent is
-recorded.
+recorded.  The keys of a result's payload come in the field order of
+its dataclass (see ``Record``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 SIG_DIGITS = 12
@@ -48,6 +50,26 @@ def canonical(obj):
     except (TypeError, ValueError):
         pass
     return round_sig(float(obj))
+
+
+def _lists(obj):
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_lists(v) for v in obj]
+    return obj
+
+
+class Record:
+    """Base of the result dataclasses that go into reports.
+
+    ``to_dict`` is ``dataclasses.asdict`` with tuples turned into lists,
+    so the payload's keys come in field order: reordering a field
+    changes the report bytes.
+    """
+
+    def to_dict(self) -> dict:
+        return _lists(dataclasses.asdict(self))
 
 
 def render_report(report: dict) -> str:

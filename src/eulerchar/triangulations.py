@@ -100,17 +100,20 @@ def barycentric_subdivision(c: SimplicialComplex) -> SimplicialComplex:
 # -- catalog ------------------------------------------------------------
 
 
-def cross_polytope_boundary(d: int, name=None) -> SimplicialComplex:
-    """Boundary of the d-dimensional cross-polytope: a sphere S^(d-1).
+def cross_polytope_facets(d: int) -> list:
+    """Facets of the boundary of the d-dimensional cross-polytope.
 
     Vertices 2a and 2a+1 are the opposite pair on axis a; facets pick one
     vertex from each pair.
     """
-    facets = []
-    for signs in np.ndindex(*(2,) * d):
-        facets.append(tuple(2 * a + s for a, s in enumerate(signs)))
+    return [tuple(2 * a + s for a, s in enumerate(signs))
+            for signs in np.ndindex(*(2,) * d)]
+
+
+def cross_polytope_boundary(d: int, name=None) -> SimplicialComplex:
+    """Boundary of the d-dimensional cross-polytope: a sphere S^(d-1)."""
     return SimplicialComplex.from_maximal(
-        facets, name=name or f"cross-polytope-S{d - 1}"
+        cross_polytope_facets(d), name=name or f"cross-polytope-S{d - 1}"
     )
 
 

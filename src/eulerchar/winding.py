@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .fields import VectorField
+from .triangulations import cross_polytope_facets
 
 MIN_FIELD_NORM = 1e-8
 MAX_RESIDUAL = 0.1
@@ -73,14 +74,43 @@ def _oriented_tangents(nodes: np.ndarray) -> np.ndarray:
     return tang
 
 
+def scaled_count(count: int, scale: float) -> int:
+    """Node count of a rule scaled by a resolution factor, at least 4."""
+    return max(4, int(round(count * scale)))
+
+
+def polar_rule(count: int):
+    """Gauss-Legendre (nodes, weights) on [0, pi]."""
+    xi, wi = roots_legendre(count)
+    return 0.5 * math.pi * (xi + 1.0), 0.5 * math.pi * wi
+
+
+def azimuth_rule(count: int):
+    """Uniform trapezoid (nodes, weights) on [0, 2 pi); exact for trig
+    polynomials below the node count."""
+    return (2.0 * math.pi * np.arange(count) / count,
+            np.full(count, 2.0 * math.pi / count))
+
+
+def tensor_rule(rules):
+    """Product of per-axis (nodes, weights) rules: (points (m, k), weights (m,))."""
+    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wts = np.ones(pts.shape[0])
+    for w in wgrids:
+        wts = wts * w.ravel()
+    return pts, wts
+
+
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Nodes/weights on the unit sphere S^(N-1) plus oriented tangents.
 
-    Weights sum to the sphere area.  N=2 uses the uniform trapezoid rule
-    (spectrally accurate on the circle); N>=3 uses Gauss-Legendre in the
-    polar angles with the measure's sine powers folded into the weights,
-    and the trapezoid rule in the azimuth.
+    Weights sum to the sphere area.  The rule is a tensor product:
+    Gauss-Legendre in the N-2 polar angles with the measure's sine powers
+    folded into the weights, and the trapezoid rule in the azimuth
+    (spectrally accurate on the circle, which is all there is for N=2).
     """
 
     dimension: int
@@ -94,48 +124,30 @@ class SphereQuadrature:
         if dimension not in _DEFAULT_NODES:
             raise WindingError(f"no quadrature for dimension {dimension}")
         if counts is None:
-            counts = tuple(
-                max(4, int(round(c * scale))) for c in _DEFAULT_NODES[dimension]
-            )
+            counts = tuple(scaled_count(c, scale) for c in _DEFAULT_NODES[dimension])
         counts = tuple(int(c) for c in counts)
-        if dimension == 2:
-            (mm,) = counts
-            theta = 2.0 * math.pi * np.arange(mm) / mm
-            nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-            weights = np.full(mm, 2.0 * math.pi / mm)
-            tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, :, None]
-            return SphereQuadrature(2, nodes, weights, tangents, counts)
-
         *polar_counts, azim = counts
         if len(polar_counts) != dimension - 2:
             raise WindingError(
                 f"dimension {dimension} needs {dimension - 1} node counts"
             )
-        polar = []
+        rules = []
         for k, cnt in enumerate(polar_counts):
-            xi, wi = roots_legendre(cnt)
-            th = 0.5 * math.pi * (xi + 1.0)
-            w = 0.5 * math.pi * wi * np.sin(th) ** (dimension - 2 - k)
-            polar.append((th, w))
-        phis = 2.0 * math.pi * np.arange(azim) / azim
-        wphi = np.full(azim, 2.0 * math.pi / azim)
+            th, w = polar_rule(cnt)
+            rules.append((th, w * np.sin(th) ** (dimension - 2 - k)))
+        angles, weights = tensor_rule(rules + [azimuth_rule(azim)])
 
-        grids = np.meshgrid(*[p[0] for p in polar], phis, indexing="ij")
-        wgrids = np.meshgrid(*[p[1] for p in polar], wphi, indexing="ij")
-        angles = [g.ravel() for g in grids]
-        weights = np.ones_like(angles[0])
-        for w in wgrids:
-            weights = weights * w.ravel()
-
-        m = angles[0].size
+        m = weights.size
         nodes = np.empty((m, dimension))
         sin_running = np.ones(m)
-        for k in range(dimension - 1):
-            ang = angles[k]
+        for k, ang in enumerate(angles.T):
             nodes[:, k] = sin_running * np.cos(ang)
             sin_running = sin_running * np.sin(ang)
         nodes[:, dimension - 1] = sin_running
-        tangents = _oriented_tangents(nodes)
+        if dimension == 2:
+            tangents = np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)[:, :, None]
+        else:
+            tangents = _oriented_tangents(nodes)
         return SphereQuadrature(dimension, nodes, weights, tangents, counts)
 
     def refine(self, factor: int = 2) -> "SphereQuadrature":
@@ -171,19 +183,6 @@ class WindingResult:
             center=tuple(np.asarray(center, dtype=float).tolist()),
             radius=float(radius),
         )
-
-
-def chern_form_value(field: VectorField, x, tangents) -> float:
-    """Pulled-back volume form at x on an (N-1)-tuple of tangent vectors."""
-    x = np.asarray(x, dtype=float)
-    tangents = np.asarray(tangents, dtype=float)
-    phi = field.evaluate(x)
-    norm = np.linalg.norm(phi)
-    if norm <= MIN_FIELD_NORM:
-        raise ZeroOnSphereError(f"field magnitude {norm:.3e} at {x.tolist()}")
-    jac = field.jacobian(x)
-    cols = np.column_stack([phi / norm, (jac @ tangents) / norm])
-    return float(np.linalg.det(cols)) / sphere_area(field.dimension)
 
 
 def winding_number(field: VectorField, center, radius: float,
@@ -304,9 +303,7 @@ def sphere_mesh(dimension: int, level: int):
     for a in range(dimension):
         verts[2 * a][a] = 1.0
         verts[2 * a + 1][a] = -1.0
-    cells = []
-    for signs in np.ndindex(*(2,) * dimension):
-        cells.append(tuple(2 * a + s for a, s in enumerate(signs)))
+    cells = cross_polytope_facets(dimension)
 
     cache = {}
 

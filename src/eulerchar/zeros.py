@@ -10,15 +10,15 @@ sign, and for degenerate zeros the winding itself is the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BallDomain, BoxDomain
+from .domains import BallDomain
 from .fields import VectorField
+from .report import Record
 from .winding import (
     SphereQuadrature,
-    WindingResult,
     default_quadrature,
     oracle_degree_preimage,
     winding_number,
@@ -32,7 +32,7 @@ DEDUP_SCALE = 1e-6
 ISOLATION_FLOOR_SCALE = 1e-5
 EXTRA_SEEDS = 8
 
-_DEFAULT_RESOLUTION = {1: 64, 2: 32, 3: 16, 4: 10}
+DEFAULT_RESOLUTION = {1: 64, 2: 32, 3: 16, 4: 10}
 
 
 class ZeroFindingError(RuntimeError):
@@ -44,33 +44,18 @@ class BoundaryZoneError(ZeroFindingError):
 
 
 @dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(Record):
     location: tuple
-    field_norm: float
-    jacobian_det: float
-    regular: bool
+    winding: int
     eta: int              # sign(det J) for regular zeros, else 0 when winding is 0
     beta: int             # |winding|
-    winding: int
+    regular: bool
+    degenerate: bool
+    jacobian_det: float
+    field_norm: float
     winding_raw: float
     winding_residual: float
     isolation_radius: float
-    degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "location": list(self.location),
-            "winding": self.winding,
-            "eta": self.eta,
-            "beta": self.beta,
-            "regular": self.regular,
-            "degenerate": self.degenerate,
-            "jacobian_det": self.jacobian_det,
-            "field_norm": self.field_norm,
-            "winding_raw": self.winding_raw,
-            "winding_residual": self.winding_residual,
-            "isolation_radius": self.isolation_radius,
-        }
 
 
 def _newton(field: VectorField, start, tol, maxiter):
@@ -130,7 +115,7 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
     n = field.dimension
     if domain.dimension != n:
         raise ZeroFindingError("field and domain dimensions differ")
-    res = resolution or _DEFAULT_RESOLUTION.get(n, 8)
+    res = resolution or DEFAULT_RESOLUTION.get(n, 8)
     lo, hi = domain.bounding_box()
     axes = [np.linspace(lo[j], hi[j], res + 1) for j in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -215,27 +200,16 @@ def total_index(records) -> int:
 
 
 @dataclass(frozen=True)
-class ExcisionResult:
+class ExcisionResult(Record):
     """Zero-by-zero indices against one big enclosing sphere."""
 
-    records: tuple
     zero_sum: int
     enclosing_winding: int
     enclosing_raw: float
     agree: bool
     oracle_degree: int
     oracle_agree: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "zero_sum": self.zero_sum,
-            "enclosing_winding": self.enclosing_winding,
-            "enclosing_raw": self.enclosing_raw,
-            "agree": self.agree,
-            "oracle_degree": self.oracle_degree,
-            "oracle_agree": self.oracle_agree,
-            "zeros": [z.to_dict() for z in self.records],
-        }
+    zeros: tuple
 
 
 def index_sum_with_excision(field: VectorField, ball: BallDomain,
@@ -254,11 +228,11 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
                          quadrature or default_quadrature(field.dimension))
     deg = oracle_degree_preimage(field, ball.center, ball.radius)
     return ExcisionResult(
-        records=tuple(records),
         zero_sum=zero_sum,
         enclosing_winding=big.rounded,
         enclosing_raw=big.raw,
         agree=zero_sum == big.rounded,
         oracle_degree=deg,
         oracle_agree=deg == big.rounded,
+        zeros=tuple(records),
     )

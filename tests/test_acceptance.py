@@ -159,7 +159,7 @@ def test_criterion_05_excision_three_zeros():
         name="three-zeros",
     )
     result = index_sum_with_excision(f, BallDomain((0.0, 0.0), 2.0))
-    assert sorted(z.winding for z in result.records) == [-1, 1, 2]
+    assert sorted(z.winding for z in result.zeros) == [-1, 1, 2]
     assert result.zero_sum == 2
     assert result.enclosing_winding == 2
     assert result.oracle_degree == 2

@@ -183,3 +183,47 @@ def test_run_scenario_programmatic():
     report, rows, ok = run_scenario(sc)
     assert ok and rows[0]["method"] == "flatness-scan"
     assert report["methods"]["flatness-scan"]["flux"]["quantum_rounded"] == 1
+
+
+_DISK = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+_ROTATION = {"kind": "builtin", "name": "rotation", "dimension": 2}
+
+
+@pytest.mark.parametrize("method,domain,field,resolutions", [
+    ("index-sum", _DISK,
+     {"kind": "polynomial", "components": [[[[1, 0], 1.0]], [[[0, 1], 1.0]]]}, {}),
+    ("index-sum", _DISK, _ROTATION, {"grid": "big"}),
+    ("boundary-theorem", dict(_DISK, radius="x"), _ROTATION, {}),
+    ("index-sum", _DISK, {"kind": "builtin", "name": "no-such-field", "dimension": 2}, {}),
+    ("index-sum", {"kind": "sphere", "center": [0.0, 0.0]},
+     {"kind": "builtin", "name": "s2-rotation"}, {}),
+    ("index-sum", {"kind": "torus", "periods": [1.0, 1.0, 1.0]},
+     {"kind": "builtin", "name": "torus-sines"}, {}),
+], ids=["no-dimension", "grid-not-a-number", "radius-not-a-number", "unknown-builtin",
+        "sphere-center-too-short", "torus-three-periods"])
+def test_malformed_scenario_one_error_line(tmp_path, capsys, method, domain,
+                                           field, resolutions):
+    path = write_scenario(tmp_path, {
+        "schema": 1, "name": "malformed", "methods": [method],
+        "domain": domain, "field": field, "resolutions": resolutions,
+    })
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):
+    import eulerchar.manifolds as manifolds
+
+    seen = []
+    real = manifolds.find_zeros
+
+    def spy(field, domain, resolution=None, **kw):
+        seen.append(resolution)
+        return real(field, domain, resolution=resolution, **kw)
+
+    monkeypatch.setattr(manifolds, "find_zeros", spy)
+    assert main(["run", "s2-rotation", "--resolution-scale", "1.01"]) == 0
+    assert seen and set(seen) == {24}

@@ -11,7 +11,6 @@ from eulerchar.clifford import (
     exp,
     gamma,
     generator,
-    geometric_product,
     pseudoscalar,
     random_bivector,
     random_rotor,
@@ -185,14 +184,6 @@ def test_random_bivector_is_grade_two():
     for n in (2, 4, 6):
         b = random_bivector(n, rng)
         assert b.grades() == [2]
-
-
-def test_geometric_product_function_matches_operator():
-    rng = np.random.default_rng(RNG_SEED + 7)
-    n = 3
-    a = Multivector(n, rng.standard_normal(2 ** n))
-    b = Multivector(n, rng.standard_normal(2 ** n))
-    assert geometric_product(a, b).approx_eq(a * b, 0.0)
 
 
 def test_vector_round_trip():

@@ -14,7 +14,6 @@ from eulerchar.manifolds import (
     FlatTorus,
     ManifoldError,
     SphereManifold,
-    manifold_from_spec,
 )
 
 RNG_SEED = 271828
@@ -133,7 +132,7 @@ def test_torus_sines_field():
     result = FlatTorus().index_sum(torus_sines_field())
     assert result.total == 0
     assert len(result.zeros) == 4
-    assert sorted(z.record.winding for z in result.zeros) == [-1, -1, 1, 1]
+    assert sorted(z.winding for z in result.zeros) == [-1, -1, 1, 1]
     # zeros started on the tile corners, so the seam protocol must retry
     assert result.attempts > 1
     assert any(f.startswith("seam-retry") for f in result.flags)
@@ -143,15 +142,6 @@ def test_torus_rejects_non_periodic_field():
     from eulerchar.fields import identity_field
     with pytest.raises(ManifoldError):
         FlatTorus().index_sum(identity_field(2))
-
-
-def test_manifold_from_spec():
-    s = manifold_from_spec({"kind": "sphere", "radius": 2.0})
-    assert isinstance(s, SphereManifold) and s.radius == 2.0
-    t = manifold_from_spec({"kind": "torus", "periods": [2.0, 3.0]})
-    assert isinstance(t, FlatTorus) and t.periods == (2.0, 3.0)
-    with pytest.raises(ManifoldError):
-        manifold_from_spec({"kind": "klein"})
 
 
 def test_report_dict_shape():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from eulerchar.cli import bundled_scenarios, load_scenario, run_scenario
 from eulerchar.report import (
     canonical,
     format_table,
@@ -73,3 +74,45 @@ def test_format_table_alignment():
     assert any("yes" in ln for ln in lines)
     assert any("NO" in ln for ln in lines)
     assert any(" - " in ln for ln in lines)  # missing oracle prints a dash
+
+
+ZERO_KEYS = ["location", "winding", "eta", "beta", "regular", "degenerate",
+             "jacobian_det", "field_norm", "winding_raw", "winding_residual",
+             "isolation_radius"]
+CHART_ZERO_KEYS = ZERO_KEYS + ["ambient", "chart", "chart_location"]
+EXCISION_KEYS = ["zero_sum", "enclosing_winding", "enclosing_raw", "agree",
+                 "oracle_degree", "oracle_agree", "zeros"]
+CLOSED_KEYS = ["total", "chi_oracle", "agree", "attempts", "flags", "zeros"]
+BOUNDARY_KEYS = ["interior_sum", "boundary_all_half", "boundary_inward",
+                 "chi_paper", "chi_morse", "chi_oracle", "endorsed", "flags",
+                 "zeros", "boundary_zeros"]
+BOUNDARY_ZERO_KEYS = ["location", "winding", "inward", "alpha",
+                      "normal_component", "chart"]
+GBC_KEYS = ["manifold", "raw", "rounded", "residual", "nodes", "scale",
+            "oracle", "agree"]
+
+
+def test_report_key_order_pinned():
+    """Key order is the report format: it must not drift with refactors."""
+    seen = set()
+    for name in bundled_scenarios():
+        report, _, _ = run_scenario(load_scenario(name))
+        assert list(report) == ["schema", "name", "tool", "resolution_scale",
+                                "summary", "methods"]
+        for method, payload in report["methods"].items():
+            if method == "gbc-integral":
+                checks = [(payload, GBC_KEYS)]
+            elif method == "boundary-theorem":
+                checks = ([(payload, BOUNDARY_KEYS)]
+                          + [(z, ZERO_KEYS) for z in payload["zeros"]]
+                          + [(z, BOUNDARY_ZERO_KEYS) for z in payload["boundary_zeros"]])
+            elif method == "index-sum" and "zero_sum" in payload:
+                checks = [(payload, EXCISION_KEYS)] + [(z, ZERO_KEYS) for z in payload["zeros"]]
+            elif method == "index-sum":
+                checks = [(payload, CLOSED_KEYS)] + [(z, CHART_ZERO_KEYS) for z in payload["zeros"]]
+            else:
+                continue
+            for obj, keys in checks:
+                assert list(obj) == keys
+                seen.add(tuple(keys))
+    assert len(seen) == 7  # every payload kind occurs in some bundled report

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eulerchar.domains import BallDomain, BoxDomain, domain_from_spec
+from eulerchar.domains import BallDomain, BoxDomain
 from eulerchar.fields import (
     ComplexProductField,
     complex_power_field,
@@ -42,13 +42,6 @@ def test_box_domain_geometry():
     assert b.contains([1.0, 0.5])
     assert not b.contains([3.0, 0.5])
     assert abs(b.boundary_distance([0.5, 0.5]) - 0.5) < 1e-14
-
-
-def test_domain_from_spec():
-    b = domain_from_spec({"kind": "ball", "center": [0.0, 0.0], "radius": 2.0})
-    assert isinstance(b, BallDomain)
-    x = domain_from_spec({"kind": "box", "lo": [0, 0], "hi": [1, 1]})
-    assert isinstance(x, BoxDomain)
 
 
 def test_single_simple_zero():
@@ -152,7 +145,7 @@ def test_excision_three_zero_field():
     assert result.enclosing_winding == 2
     assert result.oracle_degree == 2
     assert result.agree and result.oracle_agree
-    assert len(result.records) == 3
+    assert len(result.zeros) == 3
 
 
 def test_excision_agrees_for_rotated_linear_fields():
