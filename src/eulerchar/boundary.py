@@ -143,7 +143,9 @@ def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
         return float(-phi[0] * math.sin(theta) + phi[1] * math.cos(theta))
 
     th = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES
-    vals = np.array([f(t) for t in th])
+    cos, sin = np.cos(th), np.sin(th)
+    phi = field.evaluate_many(c + r * np.column_stack([cos, sin]))
+    vals = -phi[:, 0] * sin + phi[:, 1] * cos
     records = []
     for k in range(CIRCLE_SAMPLES):
         a, b = vals[k], vals[k + 1]

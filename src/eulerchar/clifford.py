@@ -3,9 +3,10 @@
 A multivector is stored densely as 2^N coefficients indexed by blade
 bitmasks: bit a of the index set means the basis vector gamma_{a+1} is a
 factor of that blade, so index 0 is the scalar, index 0b11 is
-gamma_1 gamma_2, and index 2^N - 1 is the pseudoscalar.  Products are
+gamma_1 gamma_2, and index 2^N - 1 is the pseudoscalar.  A batch of
+points stacks coefficients along leading axes, (..., 2^N).  Products are
 evaluated through cached sign/index Cayley tables, which keeps the
-geometric product a single vectorized scatter-add.
+geometric product a single vectorized gather and signed sum.
 """
 
 from __future__ import annotations
@@ -42,18 +43,15 @@ def _merge_sign(a: int, b: int) -> float:
 
 @lru_cache(maxsize=MAX_DIMENSION + 1)
 def _tables(n: int):
-    """(flat blade-index table, sign table, grade-per-blade) for Cl(n)."""
+    """(partner[a, k] = a ^ k, sign of blade a times its partner, grades) for Cl(n)."""
     if not 1 <= n <= MAX_DIMENSION:
         raise CliffordError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
     size = 1 << n
     blades = np.arange(size)
-    index = (blades[:, None] ^ blades[None, :]).ravel()
-    signs = np.empty((size, size))
-    for a in range(size):
-        for b in range(size):
-            signs[a, b] = _merge_sign(a, b)
+    partner = blades[:, None] ^ blades[None, :]
+    signs = np.array([[_merge_sign(a, b) for b in row] for a, row in enumerate(partner)])
     grades = np.array([bin(b).count("1") for b in range(size)])
-    return index, signs, grades
+    return partner, signs, grades
 
 
 def blade_grades(n: int) -> np.ndarray:
@@ -61,14 +59,14 @@ def blade_grades(n: int) -> np.ndarray:
 
 
 class Multivector:
-    """Element of Cl(N); immutable by convention (do not mutate coeffs)."""
+    """Element of Cl(N) or a batch; immutable by convention (do not mutate coeffs)."""
 
     __slots__ = ("dimension", "coeffs")
 
     def __init__(self, dimension: int, coeffs):
         _tables(dimension)  # validates the dimension
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (1 << dimension,):
+        if coeffs.shape[-1:] != (1 << dimension,):
             raise CliffordError(
                 f"expected {1 << dimension} coefficients for Cl({dimension}), "
                 f"got shape {coeffs.shape}"
@@ -102,12 +100,12 @@ class Multivector:
     @staticmethod
     def from_vector(dimension: int, components) -> "Multivector":
         components = np.asarray(components, dtype=float)
-        if components.shape != (dimension,):
+        if components.shape[-1:] != (dimension,):
             raise CliffordError(
                 f"vector needs {dimension} components, got {components.shape}"
             )
-        c = np.zeros(1 << dimension)
-        c[[1 << a for a in range(dimension)]] = components
+        c = np.zeros(components.shape[:-1] + (1 << dimension,))
+        c[..., [1 << a for a in range(dimension)]] = components
         return Multivector(dimension, c)
 
     # -- ring operations ----------------------------------------------
@@ -136,10 +134,10 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_peer(other)
-            index, signs, _ = _tables(self.dimension)
-            terms = (self.coeffs[:, None] * other.coeffs[None, :]) * signs
-            out = np.bincount(index, weights=terms.ravel(), minlength=self.coeffs.size)
-            return Multivector(self.dimension, out)
+            partner, signs, _ = _tables(self.dimension)
+            # ascending sum over a, row by row: a batch row has a single point's bits
+            terms = (self.coeffs[..., :, None] * other.coeffs[..., partner]) * signs
+            return Multivector(self.dimension, terms.sum(axis=-2))
         if isinstance(other, (int, float)):
             return Multivector(self.dimension, self.coeffs * other)
         return NotImplemented
@@ -171,21 +169,21 @@ class Multivector:
         return Multivector(self.dimension, np.where(g == r, self.coeffs, 0.0))
 
     def grades(self, tol: float = 0.0) -> list[int]:
-        """Grades with any coefficient magnitude above tol."""
+        """Grades with any coefficient magnitude above tol, at any point."""
         g = blade_grades(self.dimension)
-        present = np.abs(self.coeffs) > tol
+        present = (np.abs(self.coeffs) > tol).reshape(-1, g.size).any(axis=0)
         return sorted(set(g[present].tolist()))
 
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
 
     def vector_part(self) -> np.ndarray:
-        return self.coeffs[[1 << a for a in range(self.dimension)]].copy()
+        return self.coeffs[..., [1 << a for a in range(self.dimension)]]
 
     # -- metrics -------------------------------------------------------
 
     def norm(self) -> float:
-        """Max-abs over blade coefficients."""
+        """Max-abs over blade coefficients (and over the points of a batch)."""
         return float(np.max(np.abs(self.coeffs)))
 
     def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
@@ -193,6 +191,8 @@ class Multivector:
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
     def __repr__(self):
+        if self.coeffs.ndim > 1:
+            return f"<Cl({self.dimension}) batch of shape {self.coeffs.shape[:-1]}>"
         terms = []
         for mask in np.flatnonzero(np.abs(self.coeffs) > 1e-14):
             name = "1" if mask == 0 else "g" + "".join(
@@ -234,20 +234,20 @@ def generator(a: int, b: int, dimension: int) -> Multivector:
 
 
 def exp(a: Multivector) -> Multivector:
-    """Series exponential with scaling and squaring."""
-    n = a.norm()
-    squarings = 0
-    while n > _EXP_SCALE_LIMIT:
-        n *= 0.5
-        squarings += 1
-    base = a * (0.5 ** squarings)
+    """Series exponential with scaling and squaring, point by point."""
+    n = np.max(np.abs(a.coeffs), axis=-1)
+    squarings = np.zeros(n.shape, dtype=int)
+    while np.any(big := n * 0.5 ** squarings > _EXP_SCALE_LIMIT):
+        squarings += big
+    base = Multivector(a.dimension, a.coeffs * (0.5 ** squarings)[..., None])
     acc = Multivector.scalar(a.dimension, 1.0)
     term = Multivector.scalar(a.dimension, 1.0)
     for k in range(1, _EXP_TERMS + 1):
         term = term * base * (1.0 / k)
         acc = acc + term
-    for _ in range(squarings):
-        acc = acc * acc
+    for j in range(squarings.max()):
+        squared = np.where((squarings > j)[..., None], (acc * acc).coeffs, acc.coeffs)
+        acc = Multivector(a.dimension, squared)
     return acc
 
 
@@ -274,7 +274,7 @@ def random_rotor(dimension: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class Frame:
-    """Orthonormal vector frame u_i, each a grade-1 multivector."""
+    """Orthonormal vector frame u_i, each a grade-1 multivector (or a batch)."""
 
     dimension: int
     vectors: tuple
@@ -287,11 +287,11 @@ class Frame:
 
     def matrix(self) -> np.ndarray:
         """Rows are the frame vectors' components in the gamma basis."""
-        return np.stack([u.vector_part() for u in self.vectors])
+        return np.stack([u.vector_part() for u in self.vectors], axis=-2)
 
     def orthonormality_residual(self) -> float:
         m = self.matrix()
-        return float(np.max(np.abs(m @ m.T - np.eye(self.dimension))))
+        return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(self.dimension))))
 
 
 def versor_frame(rotor: Multivector, tol: float = 1e-10) -> Frame:

@@ -1,7 +1,8 @@
 """Spin connections induced by moving orthonormal frames.
 
 A frame field assigns to each chart point an orthonormal Clifford frame
-u_i(x), either directly or through a rotor U(x).  From its derivatives
+u_i(x); it takes one point or a batch of points, and every function
+below passes a batch through as a batch.  From its derivatives
 we build the connection that makes the frame covariantly constant,
 
     omega_0 = (1/4) sum_i (d u_i) u_i,
@@ -45,7 +46,7 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class ConnectionSample:
-    """Connection components omega_mu at one chart point."""
+    """Connection components omega_mu at one chart point or a batch of points."""
 
     point: tuple
     step: float
@@ -77,55 +78,44 @@ class CurvatureSample:
 class FrameField:
     """Orthonormal frame on a box chart of R^N, possibly with singular points."""
 
-    def __init__(self, dimension, frame_fn=None, rotor_fn=None,
-                 chart_lo=None, chart_hi=None, singular_points=(),
-                 name="frame-field"):
-        if (frame_fn is None) == (rotor_fn is None):
-            raise ValueError("provide exactly one of frame_fn, rotor_fn")
+    def __init__(self, dimension, frame_fn, chart_lo=None, chart_hi=None,
+                 singular_points=(), name="frame-field"):
         self.dimension = dimension
         self.name = name
         self._frame_fn = frame_fn
-        self._rotor_fn = rotor_fn
         self.chart_lo = (np.full(dimension, -1.5) if chart_lo is None
                          else np.asarray(chart_lo, dtype=float))
         self.chart_hi = (np.full(dimension, 1.5) if chart_hi is None
                          else np.asarray(chart_hi, dtype=float))
         self.singular_points = [np.asarray(p, dtype=float) for p in singular_points]
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.chart_lo + margin)
-                    and np.all(x <= self.chart_hi - margin))
-
-    def clearance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if not self.singular_points:
-            return math.inf
-        return min(float(np.linalg.norm(x - p)) for p in self.singular_points)
-
     def check_point(self, x, margin: float):
-        if not self.contains(x, margin):
-            raise ChartError(f"{np.asarray(x).tolist()} too close to chart edge")
-        c = self.clearance(x)
-        if c <= 2.0 * margin:
+        """Raise ChartError naming the first point of x (one or a batch) within
+        margin of the chart edge or within 2 * margin of a singular point."""
+        x = np.asarray(x, dtype=float).reshape(-1, self.dimension)
+        inside = np.all((x >= self.chart_lo + margin)
+                        & (x <= self.chart_hi - margin), axis=-1)
+        clear = np.full(len(x), math.inf)
+        for p in self.singular_points:
+            clear = np.minimum(clear, np.linalg.norm(x - p, axis=-1))
+        bad = np.flatnonzero(~inside | (clear <= 2.0 * margin))
+        if bad.size:
+            i = bad[0]
+            if not inside[i]:
+                raise ChartError(f"{x[i].tolist()} too close to chart edge")
             raise ChartError(
-                f"{np.asarray(x).tolist()} within {c:.3e} of a singular point"
+                f"{x[i].tolist()} within {clear[i]:.3e} of a singular point"
             )
-
-    def rotor(self, x):
-        return None if self._rotor_fn is None else self._rotor_fn(np.asarray(x, float))
 
     def frame(self, x) -> Frame:
         x = np.asarray(x, dtype=float)
-        if self._frame_fn is not None:
-            fr = self._frame_fn(x)
-            resid = fr.orthonormality_residual()
-            if resid > FRAME_TOL:
-                raise CliffordError(
-                    f"frame at {x.tolist()} not orthonormal (residual {resid:.3e})"
-                )
-            return fr
-        return versor_frame(self._rotor_fn(x))
+        fr = self._frame_fn(x)
+        resid = fr.orthonormality_residual()
+        if resid > FRAME_TOL:
+            raise CliffordError(
+                f"frame at {x.tolist()} not orthonormal (residual {resid:.3e})"
+            )
+        return fr
 
     def __repr__(self):
         return f"<FrameField {self.name!r} N={self.dimension}>"
@@ -134,12 +124,9 @@ class FrameField:
 # -- builtin frame families --------------------------------------------
 
 
-def constant_frame_field(dimension, rotor=None, name="constant-frame") -> FrameField:
-    if rotor is None:
-        fr = Frame(dimension, tuple(gamma(dimension, a)
-                                    for a in range(1, dimension + 1)))
-        return FrameField(dimension, frame_fn=lambda x: fr, name=name)
-    return FrameField(dimension, rotor_fn=lambda x: rotor, name=name)
+def constant_frame_field(dimension, name="constant-frame") -> FrameField:
+    fr = Frame(dimension, tuple(gamma(dimension, a) for a in range(1, dimension + 1)))
+    return FrameField(dimension, lambda x: fr, name=name)
 
 
 def hedgehog_frame_field(winding: int, chart_half_width: float = 1.5,
@@ -149,14 +136,15 @@ def hedgehog_frame_field(winding: int, chart_half_width: float = 1.5,
     k = int(winding)
 
     def frame_fn(x):
-        theta = math.atan2(x[1], x[0])
-        c, s = math.cos(k * theta), math.sin(k * theta)
-        u1 = Multivector.from_vector(2, [c, s])
-        u2 = Multivector.from_vector(2, [-s, c])
+        # math.atan2 per point: np.arctan2 differs in the last bit on some points
+        theta = np.vectorize(math.atan2, otypes=[float])(x[..., 1], x[..., 0])
+        c, s = np.cos(k * theta), np.sin(k * theta)
+        u1 = Multivector.from_vector(2, np.stack([c, s], axis=-1))
+        u2 = Multivector.from_vector(2, np.stack([-s, c], axis=-1))
         return Frame(2, (u1, u2))
 
     w = chart_half_width
-    return FrameField(2, frame_fn=frame_fn, chart_lo=[-w, -w], chart_hi=[w, w],
+    return FrameField(2, frame_fn, chart_lo=[-w, -w], chart_hi=[w, w],
                       singular_points=[[0.0, 0.0]],
                       name=name or f"hedgehog-k{k}")
 
@@ -171,10 +159,12 @@ def polynomial_bivector_field(dimension, rng: np.random.Generator,
     quad = rng.normal(scale=0.5 * scale, size=(masks.size, dimension, dimension))
 
     def bivector(x):
+        # elementwise row sums: one point gets the same bits alone as in a batch
         x = np.asarray(x, dtype=float)
-        c = np.zeros(1 << dimension)
-        vals = const + lin @ x + 0.5 * np.einsum("kij,i,j->k", quad, x, x)
-        c[masks] = vals
+        xx = x[..., None, :, None] * x[..., None, None, :]
+        c = np.zeros(x.shape[:-1] + (1 << dimension,))
+        c[..., masks] = (const + (lin * x[..., None, :]).sum(axis=-1)
+                         + 0.5 * (quad * xx).sum(axis=(-2, -1)))
         return Multivector(dimension, c)
 
     return bivector
@@ -183,7 +173,7 @@ def polynomial_bivector_field(dimension, rng: np.random.Generator,
 def random_rotor_frame_field(dimension, rng: np.random.Generator,
                              scale: float = 0.5, name="rotor-frame") -> FrameField:
     biv = polynomial_bivector_field(dimension, rng, scale)
-    return FrameField(dimension, rotor_fn=lambda x: exp(biv(x)), name=name)
+    return FrameField(dimension, lambda x: versor_frame(exp(biv(x))), name=name)
 
 
 def random_connection(dimension, rng: np.random.Generator, scale: float = 0.7):
@@ -200,20 +190,14 @@ def random_connection(dimension, rng: np.random.Generator, scale: float = 0.7):
 # -- differential operations -------------------------------------------
 
 
-def _frame_vectors(ff: FrameField, x) -> list:
-    return list(ff.frame(x).vectors)
-
-
 def frame_derivatives(ff: FrameField, x, h: float = DEFAULT_STEP):
     """Central differences du_i/dx_mu; du[mu][i] is a grade-1 Multivector."""
     x = np.asarray(x, dtype=float)
     n = ff.dimension
     du = []
-    for mu in range(n):
-        step = np.zeros(n)
-        step[mu] = h
-        hi = _frame_vectors(ff, x + step)
-        lo = _frame_vectors(ff, x - step)
+    for step in h * np.eye(n):
+        hi = ff.frame(x + step).vectors
+        lo = ff.frame(x - step).vectors
         du.append([(a - b) * (0.5 / h) for a, b in zip(hi, lo)])
     return du
 
@@ -226,7 +210,7 @@ def pseudo_flat_connection(ff: FrameField, x, h: float = DEFAULT_STEP) -> Connec
     """
     x = np.asarray(x, dtype=float)
     ff.check_point(x, margin=h)
-    u = _frame_vectors(ff, x)
+    u = ff.frame(x).vectors
     du = frame_derivatives(ff, x, h)
     omegas = []
     for mu in range(ff.dimension):
@@ -247,13 +231,11 @@ def covariant_frame_derivatives(ff: FrameField, omegas, x, h: float = DEFAULT_ST
     x = np.asarray(x, dtype=float)
     n = ff.dimension
     out = []
-    for mu in range(n):
-        step = np.zeros(n)
-        step[mu] = h
+    for mu, step in enumerate(h * np.eye(n)):
         g = exp(omegas[mu] * (-h))
         grev = g.reverse()
-        hi = _frame_vectors(ff, x + step)
-        lo = _frame_vectors(ff, x - step)
+        hi = ff.frame(x + step).vectors
+        lo = ff.frame(x - step).vectors
         row = []
         for i in range(n):
             fwd = g * hi[i] * grev
@@ -278,7 +260,7 @@ def decompose_check(ff: FrameField, omegas, x, h: float = DEFAULT_STEP) -> float
         leak = (w - w.grade_project(2)).norm()
         if leak > 1e-12:
             raise CliffordError(f"connection component not grade 2 (leak {leak:.3e})")
-    u = _frame_vectors(ff, x)
+    u = ff.frame(x).vectors
     du = frame_derivatives(ff, x, h)
     cov = covariant_frame_derivatives(ff, omegas, x, h)
     worst = 0.0
@@ -290,23 +272,17 @@ def decompose_check(ff: FrameField, omegas, x, h: float = DEFAULT_STEP) -> float
     return worst
 
 
-def curvature(conn_fn, x, h: float = DEFAULT_STEP,
-              dimension: int | None = None) -> CurvatureSample:
+def curvature(conn_fn, x, h: float = DEFAULT_STEP) -> CurvatureSample:
     """F_{mu nu} = d_mu omega_nu - d_nu omega_mu - [omega_mu, omega_nu].
 
-    conn_fn maps a point to a ConnectionSample; derivatives are central
-    differences of the sampled components.
+    conn_fn maps a point, or a batch, to a ConnectionSample; derivatives
+    are central differences of the sampled components.
     """
     x = np.asarray(x, dtype=float)
     here = conn_fn(x)
-    n = dimension or here.dimension
-    plus = []
-    minus = []
-    for mu in range(n):
-        step = np.zeros(n)
-        step[mu] = h
-        plus.append(conn_fn(x + step))
-        minus.append(conn_fn(x - step))
+    n = here.dimension
+    plus = [conn_fn(x + step) for step in h * np.eye(n)]
+    minus = [conn_fn(x - step) for step in h * np.eye(n)]
     comps = {}
     for mu in range(n):
         for nu in range(mu + 1, n):
@@ -365,11 +341,10 @@ def holonomy_flux(ff: FrameField, singular_point, loop_radius: float,
     theta = 2.0 * math.pi * np.arange(segments) / segments
     pts = z[None, :] + loop_radius * np.column_stack([np.cos(theta), np.sin(theta)])
     tangents = loop_radius * np.column_stack([-np.sin(theta), np.cos(theta)])
-    total = 0.0
-    for p, dx in zip(pts, tangents):
-        sample = pseudo_flat_connection(ff, p, h)
-        for mu in range(2):
-            total += -2.0 * sample.omegas[mu].coeffs[0b11] * dx[mu]
+    sample = pseudo_flat_connection(ff, pts, h)
+    g12 = np.stack([w.coeffs[:, 0b11] for w in sample.omegas], axis=-1)
+    # a sequential sum, point-major then mu: the order of a loop over points
+    total = float(np.cumsum(-2.0 * g12 * tangents)[-1])
     total *= 2.0 * math.pi / segments
     quantum = total / (2.0 * math.pi)
     return FluxResult(
@@ -387,16 +362,10 @@ def flatness_scan(ff: FrameField, grid_points, h: float = DEFAULT_STEP,
                   loop_segments: int = 512) -> FlatnessReport:
     """Check F(omega_0) = 0 at grid_points; measure the singular points' flux."""
     grid_points = np.asarray(grid_points, dtype=float)
-
+    ff.check_point(grid_points, margin=2 * h)
     conn_fn = lambda y: pseudo_flat_connection(ff, y, h)
-    max_f = 0.0
-    max_leak = 0.0
-    for p in grid_points:
-        ff.check_point(p, margin=2 * h)
-        sample = conn_fn(p)
-        max_leak = max(max_leak, sample.grade2_leakage())
-        f = curvature(conn_fn, p, h)
-        max_f = max(max_f, f.max_norm())
+    max_leak = conn_fn(grid_points).grade2_leakage()
+    max_f = curvature(conn_fn, grid_points, h).max_norm()
 
     fluxes = []
     if ff.dimension == 2:

@@ -48,10 +48,16 @@ def pfaffian(a: np.ndarray) -> float:
         raise GbcError("pfaffian needs a square matrix")
     if n % 2 or n == 0 or n > MAX_PFAFFIAN_SIZE:
         raise GbcError(f"pfaffian needs even size in 2..{MAX_PFAFFIAN_SIZE}")
-    skew = float(np.max(np.abs(a + a.T)))
-    if skew > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-        raise GbcError(f"matrix is not antisymmetric (deviation {skew:.3e})")
+    _check_antisymmetric(a)
     return _pf(a)
+
+
+def _check_antisymmetric(a: np.ndarray):
+    """Raise GbcError unless every matrix of a, shape (..., n, n), is antisymmetric."""
+    skew = np.max(np.abs(a + np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    bad = skew > 1e-12 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    if np.any(bad):
+        raise GbcError(f"matrix is not antisymmetric (deviation {np.max(skew[bad]):.3e})")
 
 
 def _pf(a: np.ndarray) -> float:
@@ -124,7 +130,9 @@ def _contract_batch(fs: np.ndarray) -> np.ndarray:
     n = fs.shape[1]
     m = n // 2
     if n == 2:
-        return np.array([pfaffian(f[:, :, 0, 1]) for f in fs])
+        two_forms = fs[:, :, :, 0, 1]
+        _check_antisymmetric(two_forms)
+        return two_forms[:, 0, 1]
     q = _epsilon_form(n)
     flat = fs.reshape(fs.shape[0], -1)
     vals = np.einsum("pi,ij,pj->p", flat, q, flat)

@@ -191,3 +191,70 @@ def test_vector_round_trip():
     mv = Multivector.from_vector(3, v)
     assert np.allclose(mv.vector_part(), v)
     assert mv.grades() == [1]
+
+
+def _bincount_product(n, a, b):
+    """Reference product of one pair: scatter-add over the Cayley table.
+
+    Blade i times blade j lands on blade i ^ j; its sign counts the
+    generators of j that move left past a higher generator of i.
+    """
+    size = 1 << n
+    blades = np.arange(size)
+    index = (blades[:, None] ^ blades[None, :]).ravel()
+    signs = np.array([[(-1.0) ** sum(bin(i >> (k + 1)).count("1")
+                                     for k in range(n) if j >> k & 1)
+                       for j in range(size)] for i in range(size)])
+    terms = (a[:, None] * b[None, :]) * signs
+    return np.bincount(index, weights=terms.ravel(), minlength=size)
+
+
+def test_batched_product_matches_per_point():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for n in (2, 3, 4, 5):
+        a = rng.standard_normal((3, 4, 2 ** n))
+        b = rng.standard_normal((3, 4, 2 ** n))
+        batch = (Multivector(n, a) * Multivector(n, b)).coeffs
+        assert batch.shape == a.shape
+        for i in np.ndindex(3, 4):
+            one = (Multivector(n, a[i]) * Multivector(n, b[i])).coeffs
+            assert np.array_equal(batch[i], one)
+        # a single multivector broadcasts against the batch
+        g = gamma(n, 2)
+        left = (g * Multivector(n, b)).coeffs
+        assert np.array_equal(left[1, 2], (g * Multivector(n, b[1, 2])).coeffs)
+
+
+def test_product_matches_bincount_reference():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for n in (2, 3, 4, 5):
+        for _ in range(20):
+            a = rng.standard_normal(2 ** n)
+            b = rng.standard_normal(2 ** n)
+            got = (Multivector(n, a) * Multivector(n, b)).coeffs
+            assert np.array_equal(got, _bincount_product(n, a, b))
+
+
+def test_batched_exp_matches_per_point():
+    rng = np.random.default_rng(RNG_SEED + 9)
+    n = 4
+    # scales from 0.01 to 40: from no squaring up to eight in one batch
+    scales = np.geomspace(0.01, 40.0, 12)[:, None]
+    x = rng.standard_normal((12, 2 ** n)) * scales
+    batch = exp(Multivector(n, x)).coeffs
+    for i in range(12):
+        assert np.array_equal(batch[i], exp(Multivector(n, x[i])).coeffs)
+
+
+def test_batched_frame_matrix_and_grades():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    n = 3
+    rotors = [random_rotor(n, rng) for _ in range(5)]
+    batch = versor_frame(Multivector(n, np.stack([u.coeffs for u in rotors])))
+    m = batch.matrix()
+    assert m.shape == (5, n, n)
+    for i, u in enumerate(rotors):
+        assert np.array_equal(m[i], versor_frame(u).matrix())
+    assert batch.orthonormality_residual() < 1e-10
+    v = Multivector.from_vector(n, rng.standard_normal((5, n)))
+    assert v.coeffs.shape == (5, 2 ** n) and v.grades() == [1]

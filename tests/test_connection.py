@@ -156,3 +156,52 @@ def test_annulus_grid_stays_in_annulus():
     r = np.linalg.norm(grid, axis=1)
     assert grid.shape == (60, 2)
     assert r.min() > 0.5 - 1e-12 and r.max() < 1.4 + 1e-12
+
+
+def test_batched_connection_and_curvature_match_per_point():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    fields = [(hedgehog_frame_field(2), annulus_grid(0.5, 1.2, radial=2, angular=3)),
+              (random_rotor_frame_field(3, rng), rng.uniform(-1.0, 1.0, size=(4, 3))),
+              (random_rotor_frame_field(4, rng), rng.uniform(-1.0, 1.0, size=(3, 4)))]
+    for ff, pts in fields:
+        conn_fn = lambda y: pseudo_flat_connection(ff, y, 1e-4)
+        sample = conn_fn(pts)
+        f = curvature(conn_fn, pts, 1e-4)
+        for i, p in enumerate(pts):
+            one = conn_fn(p)
+            for mu in range(ff.dimension):
+                assert np.array_equal(sample.omegas[mu].coeffs[i], one.omegas[mu].coeffs)
+            f_one = curvature(conn_fn, p, 1e-4)
+            for key, comp in f_one.components.items():
+                assert np.array_equal(f.components[key].coeffs[i], comp.coeffs)
+
+
+def test_holonomy_flux_matches_sequential_loop():
+    ff = hedgehog_frame_field(3)
+    radius, segments = 0.7, 64
+    theta = 2.0 * math.pi * np.arange(segments) / segments
+    pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    tangents = radius * np.column_stack([-np.sin(theta), np.cos(theta)])
+    total = 0.0
+    for p, dx in zip(pts, tangents):
+        sample = pseudo_flat_connection(ff, p)
+        for mu in range(2):
+            total += -2.0 * sample.omegas[mu].coeffs[0b11] * dx[mu]
+    total *= 2.0 * math.pi / segments
+    flux = holonomy_flux(ff, (0.0, 0.0), radius, segments)
+    assert flux.flux == total
+    assert flux.residual == total / (2.0 * math.pi) - 3
+
+
+def test_check_point_batch_names_first_bad_row():
+    ff = hedgehog_frame_field(1)
+    pts = annulus_grid(0.5, 1.2, radial=3, angular=4)
+    ff.check_point(pts, margin=1e-4)
+    bad = pts.copy()
+    bad[5] = [1e-5, 0.0]
+    bad[7] = [1.5, 0.2]
+    with pytest.raises(ChartError, match=r"\[1e-05, 0\.0\] within"):
+        ff.check_point(bad, margin=1e-4)
+    bad[5] = pts[5]
+    with pytest.raises(ChartError, match=r"\[1\.5, 0\.2\] too close to chart edge"):
+        ff.check_point(bad, margin=1e-4)

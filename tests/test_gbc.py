@@ -161,3 +161,16 @@ def test_residual_guard():
 
     with pytest.raises(GbcError):
         integrate_euler(Starved(radius=1.0), max_residual=1e-9)
+
+
+def test_contract_batch_rejects_non_antisymmetric():
+    from eulerchar.gbc import _contract_batch
+    rng = np.random.default_rng(RNG_SEED + 2)
+    fs = np.zeros((5, 2, 2, 2, 2))
+    for p in range(5):
+        b = random_antisymmetric(2, rng)
+        fs[p, :, :, 0, 1], fs[p, :, :, 1, 0] = b, -b
+    assert np.array_equal(_contract_batch(fs), fs[:, 0, 1, 0, 1])
+    fs[3, 0, 0, 0, 1] = 0.5
+    with pytest.raises(GbcError, match="not antisymmetric"):
+        _contract_batch(fs)
