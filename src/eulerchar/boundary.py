@@ -71,11 +71,12 @@ class BoundaryReport(Record):
     boundary_zeros: tuple    # BoundaryZeroRecords
 
 
-def tangential_project(field: VectorField, ball: BallDomain, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    m = ball.outward_normal(p)
-    phi = field.evaluate(p)
-    return phi - np.dot(phi, m) * m
+def tangential_project(field: VectorField, ball: BallDomain, pts) -> np.ndarray:
+    """phi - (phi . m) m at boundary points, one point (N,) or a batch (k, N)."""
+    pts = np.asarray(pts, dtype=float)
+    m = (pts - np.asarray(ball.center)) / ball.radius
+    phi = field.evaluate_many(pts.reshape(-1, ball.dimension)).reshape(pts.shape)
+    return phi - np.einsum("...i,...i->...", phi, m)[..., None] * m
 
 
 def alpha_angle(field: VectorField, ball: BallDomain, p) -> float:
@@ -166,17 +167,10 @@ def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
 
 def _sphere_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
     """Zeros of the tangential projection on S^3 via the chart atlas."""
-    c = np.asarray(ball.center)
-    r = ball.radius
-
-    def tangential(pts):
-        m = (pts - c) / r
-        phi = field.evaluate_many(pts)
-        return phi - np.einsum("pi,pi->p", phi, m)[:, None] * m
-
-    par = CallableField(ball.dimension, tangential,
+    par = CallableField(ball.dimension, lambda pts: tangential_project(field, ball, pts),
                         name=f"{field.name}-tangential", batch=True)
-    sphere = SphereManifold(radius=r, center=c, ambient_dim=ball.dimension)
+    sphere = SphereManifold(radius=ball.radius, center=np.asarray(ball.center),
+                            ambient_dim=ball.dimension)
     result = sphere.index_sum(par)
     records = [_boundary_record(field, ball, np.asarray(z.ambient), z.winding, z.chart)
                for z in result.zeros]

@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     scale = getattr(args, "resolution_scale", 1.0)
-    if math.isnan(scale) or scale <= 0:
+    if not math.isfinite(scale) or scale <= 0:
         print("error: resolution scale must be a positive number", file=sys.stderr)
         return 1
     return args.func(args)

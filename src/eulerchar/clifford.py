@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_DIMENSION = 8
+VERSOR_TOL = 1e-10
 
 # exp() series control: scale argument below this norm, then square back up
 _EXP_SCALE_LIMIT = 0.5
@@ -294,7 +295,7 @@ class Frame:
         return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(self.dimension))))
 
 
-def versor_frame(rotor: Multivector, tol: float = 1e-10) -> Frame:
+def versor_frame(rotor: Multivector) -> Frame:
     """Frame u_i = U~ gamma_i U obtained by rotating the gamma basis.
 
     The reverse acts on the left so that exp(theta * generator(1,2,N))
@@ -304,9 +305,9 @@ def versor_frame(rotor: Multivector, tol: float = 1e-10) -> Frame:
     """
     n = rotor.dimension
     unit_dev = (rotor * rotor.reverse() - Multivector.scalar(n, 1.0)).norm()
-    if unit_dev > tol:
+    if unit_dev > VERSOR_TOL:
         raise CliffordError(f"versor is not unit: |UU~ - 1| = {unit_dev:.3e}")
-    odd = sum(1 for r in rotor.grades(tol) if r % 2)
+    odd = sum(1 for r in rotor.grades(VERSOR_TOL) if r % 2)
     if odd:
         raise CliffordError("versor has odd-grade components; rotors only")
     rrev = rotor.reverse()
@@ -314,7 +315,7 @@ def versor_frame(rotor: Multivector, tol: float = 1e-10) -> Frame:
     for a in range(1, n + 1):
         u = rrev * gamma(n, a) * rotor
         leak = (u - u.grade_project(1)).norm()
-        if leak > max(tol, 1e-10):
+        if leak > VERSOR_TOL:
             raise CliffordError(f"frame vector {a} is not grade 1 (leak {leak:.3e})")
         vectors.append(u.grade_project(1))
     return Frame(n, tuple(vectors))

@@ -129,10 +129,10 @@ def constant_frame_field(dimension, name="constant-frame") -> FrameField:
     return FrameField(dimension, lambda x: fr, name=name)
 
 
-def hedgehog_frame_field(winding: int, chart_half_width: float = 1.5,
-                         name=None) -> FrameField:
+def hedgehog_frame_field(winding: int, name=None) -> FrameField:
     """Planar frame turning k times around the origin: u_1 = (cos k*theta,
-    sin k*theta) in the gamma basis.  Singular at the origin."""
+    sin k*theta) in the gamma basis.  Singular at the origin; the chart
+    is the box [-1.5, 1.5]^2."""
     k = int(winding)
 
     def frame_fn(x):
@@ -143,8 +143,7 @@ def hedgehog_frame_field(winding: int, chart_half_width: float = 1.5,
         u2 = Multivector.from_vector(2, np.stack([-s, c], axis=-1))
         return Frame(2, (u1, u2))
 
-    w = chart_half_width
-    return FrameField(2, frame_fn, chart_lo=[-w, -w], chart_hi=[w, w],
+    return FrameField(2, frame_fn, chart_lo=[-1.5, -1.5], chart_hi=[1.5, 1.5],
                       singular_points=[[0.0, 0.0]],
                       name=name or f"hedgehog-k{k}")
 
@@ -316,14 +315,12 @@ class FlatnessReport:
 
 
 def annulus_grid(r_inner: float, r_outer: float, radial: int = 8,
-                 angular: int = 24, center=(0.0, 0.0)) -> np.ndarray:
-    """Polar product grid on a planar annulus."""
-    c = np.asarray(center, dtype=float)
+                 angular: int = 24) -> np.ndarray:
+    """Polar product grid on a planar annulus about the origin."""
     rs = np.linspace(r_inner, r_outer, radial)
     ts = 2.0 * math.pi * np.arange(angular) / angular
     rr, tt = np.meshgrid(rs, ts, indexing="ij")
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
-    return pts + c
+    return np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
 
 
 def holonomy_flux(ff: FrameField, singular_point, loop_radius: float,

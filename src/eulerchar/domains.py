@@ -30,9 +30,9 @@ class BallDomain:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, x, shrink: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         d = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(self.center))
-        return bool(d <= self.radius - shrink)
+        return bool(d <= self.radius)
 
     def boundary_distance(self, x) -> float:
         d = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(self.center))
@@ -71,10 +71,9 @@ class BoxDomain:
     def diameter(self) -> float:
         return float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def contains(self, x, shrink: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= np.asarray(self.lo) + shrink)
-                    and np.all(x <= np.asarray(self.hi) - shrink))
+        return bool(np.all(x >= np.asarray(self.lo)) and np.all(x <= np.asarray(self.hi)))
 
     def boundary_distance(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -101,42 +101,31 @@ def _epsilon_form(n: int) -> np.ndarray:
     return q
 
 
-def frame_contraction(f: np.ndarray) -> float:
-    """eps eps contraction of one curvature tensor, including 1/(4^m m!).
+def frame_contraction(f: np.ndarray):
+    """eps eps contraction of curvature tensors, including 1/(4^m m!).
 
-    f has shape (N, N, N, N) with components F^{a b}_{c d}; N in {2, 4}.
+    f has shape (..., N, N, N, N) with components F^{a b}_{c d}; N in
+    {2, 4}.  One tensor gives a float, a batch an array.
     """
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    if f.shape != (n, n, n, n) or n not in (2, 4):
-        raise GbcError("curvature tensor must be (N,N,N,N) with N in {2, 4}")
+    n = f.shape[-1]
+    if f.ndim < 4 or f.shape[-4:] != (n,) * 4 or n not in (2, 4):
+        raise GbcError("curvature tensor must be (..., N,N,N,N) with N in {2, 4}")
     m = n // 2
     if n == 2:
         # literal surface route: Pfaffian of the curvature 2-form on (e1, e2)
-        return pfaffian(f[:, :, 0, 1])
-    q = _epsilon_form(n)
-    flat = f.ravel()
-    return float(flat @ q @ flat) / (4.0 ** m * math.factorial(m))
-
-
-def euler_density_value(f: np.ndarray) -> float:
-    """Euler density per unit Riemannian volume from frame curvature."""
-    n = np.asarray(f).shape[0]
-    m = n // 2
-    return frame_contraction(f) / (2.0 * math.pi) ** m
-
-
-def _contract_batch(fs: np.ndarray) -> np.ndarray:
-    n = fs.shape[1]
-    m = n // 2
-    if n == 2:
-        two_forms = fs[:, :, :, 0, 1]
+        two_forms = f[..., :, :, 0, 1]
         _check_antisymmetric(two_forms)
-        return two_forms[:, 0, 1]
-    q = _epsilon_form(n)
-    flat = fs.reshape(fs.shape[0], -1)
-    vals = np.einsum("pi,ij,pj->p", flat, q, flat)
+        return two_forms[..., 0, 1]
+    flat = f.reshape(f.shape[:-4] + (-1,))
+    vals = np.einsum("...i,ij,...j->...", flat, _epsilon_form(n), flat)
     return vals / (4.0 ** m * math.factorial(m))
+
+
+def euler_density_value(f: np.ndarray):
+    """Euler density per unit Riemannian volume from frame curvature."""
+    m = np.shape(f)[-1] // 2
+    return frame_contraction(f) / (2.0 * math.pi) ** m
 
 
 # -- catalog of curved manifolds ----------------------------------------
@@ -170,15 +159,12 @@ class CurvedManifold:
 
     def euler_density(self, pts: np.ndarray) -> np.ndarray:
         const = self.curvature_constant()
-        m = self.dimension // 2
         if const is not None:
-            val = frame_contraction(const) / (2.0 * math.pi) ** m
-            return np.full(pts.shape[0], val)
+            return np.full(pts.shape[0], euler_density_value(const))
         out = np.empty(pts.shape[0])
         for k in range(0, pts.shape[0], CHUNK):
-            block = pts[k:k + CHUNK]
-            out[k:k + CHUNK] = _contract_batch(self.curvature(block))
-        return out / (2.0 * math.pi) ** m
+            out[k:k + CHUNK] = euler_density_value(self.curvature(pts[k:k + CHUNK]))
+        return out
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"

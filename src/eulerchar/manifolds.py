@@ -165,9 +165,9 @@ class SphereManifold:
         rho2 = np.sum(np.atleast_2d(xi) ** 2, axis=1)
         return 2.0 * self.radius / (1.0 + rho2)
 
-    def tangency_residual(self, field: VectorField, samples: int = 64) -> float:
+    def tangency_residual(self, field: VectorField) -> float:
         rng = np.random.default_rng(SEAM_SEED)
-        v = rng.normal(size=(samples, self.ambient_dim))
+        v = rng.normal(size=(64, self.ambient_dim))
         v /= np.linalg.norm(v, axis=1)[:, None]
         pts = self.center + self.radius * v
         phi = field.evaluate_many(pts)
@@ -237,9 +237,9 @@ class FlatTorus:
         if len(self.periods) != 2 or any(p <= 0 for p in self.periods):
             raise ManifoldError("a flat 2-torus needs two positive periods")
 
-    def periodicity_residual(self, field: VectorField, samples: int = 16) -> float:
+    def periodicity_residual(self, field: VectorField) -> float:
         rng = np.random.default_rng(SEAM_SEED)
-        pts = rng.uniform(0.0, 1.0, size=(samples, 2)) * np.asarray(self.periods)
+        pts = rng.uniform(0.0, 1.0, size=(16, 2)) * np.asarray(self.periods)
         base = field.evaluate_many(pts)
         worst = 0.0
         for axis in range(2):

@@ -186,8 +186,7 @@ class WindingResult:
 
 
 def winding_number(field: VectorField, center, radius: float,
-                   quadrature: SphereQuadrature | None = None,
-                   max_residual: float = MAX_RESIDUAL) -> WindingResult:
+                   quadrature: SphereQuadrature | None = None) -> WindingResult:
     """Degree of phi/|phi| over the sphere |x - center| = radius."""
     center = np.asarray(center, dtype=float)
     n = field.dimension
@@ -215,7 +214,7 @@ def winding_number(field: VectorField, center, radius: float,
     dets = np.linalg.det(cols) / norms ** n
     raw = radius ** (n - 1) * float(np.dot(quad.weights, dets)) / sphere_area(n)
     result = WindingResult.from_raw(raw, center, radius)
-    if abs(result.residual) > max_residual:
+    if abs(result.residual) > MAX_RESIDUAL:
         raise UndersampledError(
             f"winding {raw:.6f} is {result.residual:+.3f} from an integer; "
             "refine the quadrature or shrink the sphere"
@@ -329,9 +328,7 @@ def sphere_mesh(dimension: int, level: int):
     return vv, cc
 
 
-def oracle_degree_preimage(field: VectorField, center, radius: float,
-                           level: int | None = None,
-                           direction=None) -> int:
+def oracle_degree_preimage(field: VectorField, center, radius: float) -> int:
     """Degree by counting signed preimages of a probe direction.
 
     Triangulates the source sphere, maps vertices through n = phi/|phi|,
@@ -341,9 +338,7 @@ def oracle_degree_preimage(field: VectorField, center, radius: float,
     """
     n = field.dimension
     center = np.asarray(center, dtype=float)
-    if level is None:
-        level = _DEFAULT_MESH_LEVEL[n]
-    verts, cells = sphere_mesh(n, level)
+    verts, cells = sphere_mesh(n, _DEFAULT_MESH_LEVEL[n])
     pts = center[None, :] + radius * verts
     phi = field.evaluate_many(pts)
     norms = np.linalg.norm(phi, axis=1)
@@ -356,12 +351,8 @@ def oracle_degree_preimage(field: VectorField, center, radius: float,
     regular = np.abs(dets) > 1e-12
     eps = 1e-9
 
-    if direction is not None:
-        candidates = [np.asarray(direction, dtype=float)]
-    else:
-        candidates = [np.sin(np.arange(1, n + 1))]
     rng = np.random.default_rng(_RETRY_SEED)
-    candidates += [rng.normal(size=n) for _ in range(4)]
+    candidates = [np.sin(np.arange(1, n + 1))] + [rng.normal(size=n) for _ in range(4)]
 
     for probe in candidates:
         probe = probe / np.linalg.norm(probe)

@@ -2,10 +2,11 @@
 
 A coarse grid scan proposes cells where every field component changes
 sign (plus the lowest-magnitude cells as extra seeds), damped Newton
-polishes each candidate, and duplicates are merged.  Each surviving
-zero gets a winding number from a quadrature sphere at its isolation
-radius; for regular zeros this must match the Jacobian determinant
-sign, and for degenerate zeros the winding itself is the index.
+polishes all candidates together, one batch of field calls per step,
+and duplicates are merged.  Each surviving zero gets a winding number
+from a quadrature sphere at its isolation radius; for regular zeros
+this must match the Jacobian determinant sign, and for degenerate
+zeros the winding itself is the index.
 """
 
 from __future__ import annotations
@@ -58,33 +59,53 @@ class ZeroRecord(Record):
     isolation_radius: float
 
 
-def _newton(field: VectorField, start, tol, maxiter):
-    """Damped Newton; returns the root or None on non-convergence."""
-    x = np.asarray(start, dtype=float).copy()
-    fx = field.evaluate(x)
-    norm = float(np.linalg.norm(fx))
-    for _ in range(maxiter):
-        if norm <= tol:
-            return x
-        jac = field.jacobian(x)
-        try:
-            step = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, fx, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row norms, each with the bits np.linalg.norm gives that row alone."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _solve(jac: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """Newton steps J^-1 f per row; least squares where J is singular."""
+    try:
+        return np.linalg.solve(jac, fx[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(fx) > 1:  # some row is singular: solve row by row
+            return np.concatenate([_solve(j[None], f[None]) for j, f in zip(jac, fx)])
+        return np.linalg.lstsq(jac[0], fx[0], rcond=None)[0][None]
+
+
+def _newton(field: VectorField, seeds: np.ndarray):
+    """Damped Newton on all seeds at once: (roots, converged) per row.
+
+    Every seed runs its own iteration, halving its step until the
+    residual drops; the batch only shares the field calls, so row k is
+    the root seed k reaches alone.
+    """
+    x = np.array(seeds, dtype=float)
+    fx = field.evaluate_many(x)
+    norm = _norms(fx)
+    failed = np.zeros(len(x), dtype=bool)
+    for _ in range(NEWTON_MAXITER):
+        live = np.flatnonzero(~failed & ~(norm <= NEWTON_TOL))
+        if not live.size:
+            break
+        step = _solve(field.jacobian_many(x[live]), fx[live])
+        finite = np.all(np.isfinite(step), axis=1)
+        failed[live[~finite]] = True
+        live, step = live[finite], step[finite]
         lam = 1.0
-        while lam >= MIN_DAMPING:
-            trial = x - lam * step
-            ft = field.evaluate(trial)
-            nt = float(np.linalg.norm(ft))
-            if nt < norm:
-                x, fx, norm = trial, ft, nt
-                break
+        while live.size and lam >= MIN_DAMPING:
+            trial = x[live] - lam * step
+            ft = field.evaluate_many(trial)
+            nt = _norms(ft)
+            better = nt < norm[live]
+            done = live[better]
+            x[done], fx[done], norm[done] = trial[better], ft[better], nt[better]
+            live, step = live[~better], step[~better]
             lam *= 0.5
-        else:
-            return None
-    return x if norm <= tol else None
+        failed[live] = True
+    return x, ~failed & (norm <= NEWTON_TOL)
 
 
 def _candidate_cells(vals_grid, counts):
@@ -108,9 +129,7 @@ def _candidate_cells(vals_grid, counts):
 
 
 def find_zeros(field: VectorField, domain, resolution: int | None = None,
-               tol: float = NEWTON_TOL, maxiter: int = NEWTON_MAXITER,
-               quadrature: SphereQuadrature | None = None,
-               isolation_floor: float | None = None) -> list:
+               quadrature: SphereQuadrature | None = None) -> list:
     """All isolated zeros of the field inside the domain, with indices."""
     n = field.dimension
     if domain.dimension != n:
@@ -127,24 +146,17 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
     cells = _candidate_cells(vals_grid, counts)
     widths = (hi - lo) / res
 
-    # seed list: candidate cell centers plus the lowest-|phi| vertices
-    seeds = []
-    for idx in cells:
-        seeds.append(lo + (np.asarray(idx) + 0.5) * widths)
+    # seeds: candidate cell centers, then the lowest-|phi| vertices
     norms = np.linalg.norm(vals, axis=1)
-    for k in np.argsort(norms)[:EXTRA_SEEDS]:
-        seeds.append(pts[k])
+    seeds = np.concatenate([lo + (cells + 0.5) * widths,
+                            pts[np.argsort(norms)[:EXTRA_SEEDS]]])
 
     scale = domain.diameter
-    floor = isolation_floor if isolation_floor is not None else ISOLATION_FLOOR_SCALE * scale
+    floor = ISOLATION_FLOOR_SCALE * scale
     roots = []
-    for s in seeds:
-        r = _newton(field, s, tol, maxiter)
-        if r is None or not np.all(np.isfinite(r)):
-            continue
-        if not domain.contains(r):
-            continue
-        if not any(np.linalg.norm(r - q) < DEDUP_SCALE * scale for q in roots):
+    for r, converged in zip(*_newton(field, seeds)):
+        if (converged and domain.contains(r)
+                and not any(np.linalg.norm(r - q) < DEDUP_SCALE * scale for q in roots)):
             roots.append(r)
 
     if not roots:
@@ -156,6 +168,9 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
                 f"zero at {r.tolist()} within {floor:.2e} of the domain boundary"
             )
 
+    at = np.array(roots)
+    dets = np.linalg.det(field.jacobian_many(at))
+    field_norms = _norms(field.evaluate_many(at))
     records = []
     quad = quadrature or default_quadrature(n)
     for i, r in enumerate(roots):
@@ -167,7 +182,7 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
             )
         rad = min(rad, 1.0)
         wres = winding_number(field, r, rad, quad)
-        det = float(np.linalg.det(field.jacobian(r)))
+        det = float(dets[i])
         regular = abs(det) > REGULAR_DET_TOL
         w = wres.rounded
         if regular:
@@ -180,7 +195,7 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
             eta = 0 if w == 0 else (1 if w > 0 else -1)
         records.append(ZeroRecord(
             location=tuple(r.tolist()),
-            field_norm=float(np.linalg.norm(field.evaluate(r))),
+            field_norm=float(field_norms[i]),
             jacobian_det=det,
             regular=regular,
             eta=int(eta),

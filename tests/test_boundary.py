@@ -32,6 +32,21 @@ def test_tangential_projection_is_tangent():
     assert abs(np.dot(proj, p)) < 1e-14
 
 
+def test_tangential_project_batch_matches_points():
+    rng = np.random.default_rng(2718)
+    for ball in (BallDomain((0.2, -0.4), 1.3), BallDomain((0.3, -0.2, 0.1, 0.5), 1.7)):
+        n = ball.dimension
+        field = linear_field(rng.standard_normal((n, n)), offset=rng.standard_normal(n))
+        dirs = rng.standard_normal((40, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        pts = np.asarray(ball.center) + ball.radius * dirs
+        batch = tangential_project(field, ball, pts)
+        assert batch.shape == pts.shape
+        for p, row in zip(pts, batch):
+            assert np.array_equal(tangential_project(field, ball, p), row)
+        assert np.max(np.abs(np.einsum("pi,pi->p", batch, dirs))) < 1e-12
+
+
 def test_alpha_angle_values():
     assert abs(alpha_angle(identity_field(2), DISK, [1.0, 0.0])) < 1e-14
     inward = linear_field(-np.eye(2))

@@ -143,6 +143,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
 def test_resolution_scale_threads_through(capsys):
     assert main(["run", "s2-gbc-small", "--resolution-scale", "0.5"]) == 0
     assert main(["run", "s2-gbc-small", "--resolution-scale", "-1"]) == 1
+    assert main(["run", "s2-gbc-small", "--resolution-scale", "inf"]) == 1
 
 
 def test_custom_scenario_file(tmp_path):

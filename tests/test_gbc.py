@@ -164,13 +164,24 @@ def test_residual_guard():
 
 
 def test_contract_batch_rejects_non_antisymmetric():
-    from eulerchar.gbc import _contract_batch
     rng = np.random.default_rng(RNG_SEED + 2)
     fs = np.zeros((5, 2, 2, 2, 2))
     for p in range(5):
         b = random_antisymmetric(2, rng)
         fs[p, :, :, 0, 1], fs[p, :, :, 1, 0] = b, -b
-    assert np.array_equal(_contract_batch(fs), fs[:, 0, 1, 0, 1])
+    assert np.array_equal(frame_contraction(fs), fs[:, 0, 1, 0, 1])
     fs[3, 0, 0, 0, 1] = 0.5
     with pytest.raises(GbcError, match="not antisymmetric"):
-        _contract_batch(fs)
+        frame_contraction(fs)
+
+
+def test_frame_contraction_batch_matches_per_tensor():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for n in (2, 4):
+        fs = np.stack([np.einsum("ab,cd->abcd", random_antisymmetric(n, rng),
+                                 random_antisymmetric(n, rng)) for _ in range(6)])
+        got = frame_contraction(fs)
+        assert got.shape == (6,)
+        assert np.array_equal(got, [frame_contraction(f) for f in fs])
+        assert np.array_equal(frame_contraction(fs.reshape(2, 3, *fs.shape[1:])),
+                              got.reshape(2, 3))

@@ -1,19 +1,25 @@
 """Zero finding, per-zero indices, and the excision cross-check."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from eulerchar import zeros
 from eulerchar.domains import BallDomain, BoxDomain
 from eulerchar.fields import (
     ComplexProductField,
+    VectorField,
     complex_power_field,
     constant_field,
     identity_field,
     linear_field,
     quaternion_square_field,
+    s2_height_gradient_field,
     saddle_field,
     torus_sines_field,
 )
+from eulerchar.manifolds import CHART_RESOLUTION, SphereManifold
 from eulerchar.zeros import (
     BoundaryZoneError,
     ZeroFindingError,
@@ -158,3 +164,126 @@ def test_excision_agrees_for_rotated_linear_fields():
         res = index_sum_with_excision(linear_field(q), ball)
         assert res.agree and res.oracle_agree
         assert res.zero_sum == (1 if np.linalg.det(q) > 0 else -1)
+
+
+def _newton_one_seed(field, start):
+    """Reference: the per-seed damped Newton, one point per field call."""
+    x = np.asarray(start, dtype=float).copy()
+    fx = field.evaluate(x)
+    norm = float(np.linalg.norm(fx))
+    for _ in range(zeros.NEWTON_MAXITER):
+        if norm <= zeros.NEWTON_TOL:
+            return x
+        jac = field.jacobian(x)
+        try:
+            step = np.linalg.solve(jac, fx)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, fx, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return None
+        lam = 1.0
+        while lam >= zeros.MIN_DAMPING:
+            trial = x - lam * step
+            ft = field.evaluate(trial)
+            nt = float(np.linalg.norm(ft))
+            if nt < norm:
+                x, fx, norm = trial, ft, nt
+                break
+            lam *= 0.5
+        else:
+            return None
+    return x if norm <= zeros.NEWTON_TOL else None
+
+
+def _find_zeros_seeds(monkeypatch, field, domain, resolution=None):
+    """The seed array find_zeros hands to _newton."""
+    seen = []
+    real = zeros._newton
+
+    def spy(f, seeds):
+        seen.append(np.array(seeds))
+        return real(f, seeds)
+
+    with monkeypatch.context() as m:
+        m.setattr(zeros, "_newton", spy)
+        find_zeros(field, domain, resolution=resolution)
+    return seen[0]
+
+
+_SPHERE = SphereManifold()
+_CHART_SCAN = BallDomain((0.0, 0.0), 1.0 / 0.92 + 0.05)
+
+NEWTON_CASES = {
+    "quaternion-square": (quaternion_square_field(), BallDomain((0.0,) * 4, 1.0), None),
+    "z^2": (complex_power_field(2), BallDomain((0.0, 0.0), 1.0), None),
+    "three-roots": (ComplexProductField(roots=[-0.6 + 0.1j, 0.5 - 0.3j],
+                                        conj_roots=[0.2 + 0.6j]),
+                    BallDomain((0.0, 0.0), 2.0), None),
+    "sphere-chart": (_SPHERE.pushforward(s2_height_gradient_field(), 1.0),
+                     _CHART_SCAN, CHART_RESOLUTION[2]),
+    "torus-sines": (torus_sines_field(), BoxDomain((0.13, 0.29), (1.13, 1.29)), None),
+    "constant": (constant_field([0.5, 0.5]), BallDomain((0.0, 0.0), 1.0), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_batched_newton_matches_per_seed(case, monkeypatch):
+    field, domain, res = NEWTON_CASES[case]
+    seeds = _find_zeros_seeds(monkeypatch, field, domain, res)
+    lstsq_calls = []
+    real_lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "lstsq", counting_lstsq)
+        roots, converged = zeros._newton(field, seeds)
+    assert roots.shape == seeds.shape
+    for k, seed in enumerate(seeds):
+        want = _newton_one_seed(field, seed)
+        if want is None:
+            assert not converged[k]
+        else:
+            assert converged[k] and np.array_equal(roots[k], want)
+    if case == "constant":
+        assert not converged.any()  # damping runs out on every seed
+    else:
+        assert converged.any()
+    if case == "quaternion-square":
+        assert lstsq_calls  # singular Jacobians took the least-squares path
+
+
+class CountingField(VectorField):
+    """Delegates to a field and counts its one-point and batch calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.name = inner.name
+        self.calls = Counter()
+
+    def evaluate(self, x):
+        self.calls["evaluate"] += 1
+        return self.inner.evaluate(x)
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        return self.inner.jacobian(x)
+
+    def evaluate_many(self, pts):
+        self.calls["evaluate_many"] += 1
+        return self.inner.evaluate_many(pts)
+
+    def jacobian_many(self, pts):
+        self.calls["jacobian_many"] += 1
+        return self.inner.jacobian_many(pts)
+
+
+def test_find_zeros_makes_no_one_point_calls():
+    field = CountingField(quaternion_square_field())
+    zs = find_zeros(field, BallDomain((0.0,) * 4, 1.0))
+    assert [z.winding for z in zs] == [2]
+    assert field.calls["evaluate"] == 0 and field.calls["jacobian"] == 0
+    assert field.calls["evaluate_many"] + field.calls["jacobian_many"] <= 100
