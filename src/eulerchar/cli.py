@@ -6,7 +6,8 @@
 
 A scenario bundles a domain, a field (or frame), and the methods to run
 on them.  Exit code 0 means every asserted comparison agreed, 2 means a
-computation disagreed with its oracle, 1 means the input was unusable.
+computation disagreed with its oracle, 1 means the input was unusable,
+3 means a result could not be certified numerically.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from contextlib import contextmanager
 from importlib import resources
 
 from . import __version__
-from .boundary import chi_with_boundary
+from .boundary import BoundaryError, chi_with_boundary
 from .connection import annulus_grid, flatness_scan, hedgehog_frame_field
 from .domains import BallDomain
 from .fields import builtin_names, field_from_spec
-from .gbc import catalog_manifold, catalog_manifold_names, integrate_euler
+from .gbc import GbcError, catalog_manifold, catalog_manifold_names, integrate_euler
 from .manifolds import CHART_RESOLUTION, FlatTorus, ManifoldError, SphereManifold
 from .report import format_table, render_report, summary_row
 from .triangulations import catalog_names, chi_oracle
-from .winding import default_quadrature
-from .zeros import DEFAULT_RESOLUTION, index_sum_with_excision
+from .winding import WindingError, default_quadrature
+from .zeros import DEFAULT_RESOLUTION, ZeroFindingError, index_sum_with_excision
 
 _TOP_KEYS = {"schema", "name", "description", "methods", "domain", "field",
              "frame", "resolutions"}
@@ -348,6 +349,10 @@ def cmd_run(args) -> int:
     except ScenarioError as e:
         print(f"error: scenario {sc['name']!r}: {e}", file=sys.stderr)
         return 1
+    except (WindingError, ZeroFindingError, BoundaryError, ManifoldError, GbcError) as e:
+        print(f"error: scenario {sc['name']!r}: uncertified: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 3
     out_path = None
     if args.out is not None:
         import os

@@ -2,12 +2,16 @@
 
 Spheres are covered by the two stereographic charts; vector fields
 tangent to the sphere push forward through the conformal chart inverse,
-zeros are found per chart inside the unit parameter ball, and their
-windings (chart-independent for vector fields) are summed.  A guard
-band around the chart seam |xi| = 1 triggers seeded random rotations of
-the field until no zero sits ambiguously close to the cut, so each zero
-is counted exactly once.  The flat torus works the same way with
-translations instead of rotations.
+and their windings are chart-independent.  Each chart keeps the zeros
+with |xi| <= 1 / (1 - SEAM_GUARD), found in a slightly larger scan ball
+so that isolation spheres see across the edge.  The kept regions of the
+two charts overlap around the seam |xi| = 1; a zero seen in both is one
+point of the sphere and counts once, from the chart where it lies
+nearest the origin.  The flat torus works the same way with one tile:
+it keeps [-p/8, 9p/8]^2 of a [-p/4, 5p/4]^2 scan, reduces locations mod
+the periods and counts each zero once, from the sighting nearest the
+tile's center.  Every zero is found by one deterministic scan per chart
+or tile; nothing is retried.
 
 The total is compared against the alternating face-count sum of a
 reference triangulation.
@@ -15,20 +19,19 @@ reference triangulation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BallDomain, BoxDomain
+from .domains import BallDomain, BoxDomain, PaddedDomain
 from .fields import CallableField, VectorField
 from .report import Record
 from .triangulations import chi_oracle
-from .zeros import BoundaryZoneError, ZeroRecord, find_zeros
+from .zeros import DEDUP_SCALE, ZeroRecord, find_zeros
 
 SEAM_GUARD = 0.08
-SEAM_ATTEMPTS = 4
-SEAM_SEED = 987123
+SEAM_ATTEMPTS = 1  # scans per chart or tile
+SAMPLE_SEED = 987123  # sample points of the tangency and periodicity checks
 PERIOD_TOL = 1e-9
 
 CHART_RESOLUTION = {2: 24, 3: 12}
@@ -57,58 +60,27 @@ class ClosedIndexResult(Record):
     zeros: tuple
 
 
-def _seam_search(try_tile, oracle: str, seam: str) -> ClosedIndexResult:
-    """Retry tiles until no zero sits in the seam guard.
+def _closed_result(sightings, same, oracle: str) -> ClosedIndexResult:
+    """Count each zero once, from its sighting nearest a chart origin.
 
-    try_tile(attempt, rng) scans one tile and returns its ChartZeros, or
-    None when a zero lands in the guard band; attempt 0 is the unmoved
-    tile and draws nothing from rng.
+    sightings are (distance from the chart origin, ChartZero) pairs;
+    same(a, b) tells whether two ambient points are one zero.
     """
-    rng = np.random.default_rng(SEAM_SEED)
-    flags = []
-    for attempt in range(SEAM_ATTEMPTS):
-        zeros = try_tile(attempt, rng)
-        if zeros is None:
-            flags.append(f"seam-retry-{attempt}")
-            continue
-        zeros.sort(key=lambda z: z.ambient)
-        total = int(sum(z.winding for z in zeros))
-        chi = chi_oracle(oracle)
-        return ClosedIndexResult(
-            total=total,
-            chi_oracle=chi,
-            agree=total == chi,
-            attempts=attempt + 1,
-            flags=tuple(flags),
-            zeros=tuple(zeros),
-        )
-    raise ManifoldError(
-        f"zeros kept landing on the {seam} after {SEAM_ATTEMPTS} attempts"
+    zeros = []
+    for _, z in sorted(sightings, key=lambda s: s[0]):
+        if not any(same(z.ambient, q.ambient) for q in zeros):
+            zeros.append(z)
+    zeros.sort(key=lambda z: z.ambient)
+    total = int(sum(z.winding for z in zeros))
+    chi = chi_oracle(oracle)
+    return ClosedIndexResult(
+        total=total,
+        chi_oracle=chi,
+        agree=total == chi,
+        attempts=SEAM_ATTEMPTS,
+        flags=(),
+        zeros=tuple(zeros),
     )
-
-
-def _rotation_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def _rotated_field(field: VectorField, rot: np.ndarray, center: np.ndarray) -> VectorField:
-    """Conjugate an ambient field by a rotation about the center."""
-
-    def ev(pts):
-        src = (pts - center) @ rot + center  # rot^T applied to rows
-        return field.evaluate_many(src) @ rot.T
-
-    def jac(pts):
-        src = (pts - center) @ rot + center
-        j = field.jacobian_many(src)
-        return np.einsum("ab,pbc,dc->pad", rot, j, rot)
-
-    return CallableField(field.dimension, ev, jac=jac,
-                         name=f"{field.name}-rotated", batch=True)
 
 
 class SphereManifold:
@@ -166,7 +138,7 @@ class SphereManifold:
         return 2.0 * self.radius / (1.0 + rho2)
 
     def tangency_residual(self, field: VectorField) -> float:
-        rng = np.random.default_rng(SEAM_SEED)
+        rng = np.random.default_rng(SAMPLE_SEED)
         v = rng.normal(size=(64, self.ambient_dim))
         v /= np.linalg.norm(v, axis=1)[:, None]
         pts = self.center + self.radius * v
@@ -194,37 +166,21 @@ class SphereManifold:
                 f"field is not tangent to the sphere (residual {tang:.3e})"
             )
         res = resolution or CHART_RESOLUTION[self.chart_dim]
-        guard_lo = 1.0 - SEAM_GUARD
-        guard_hi = 1.0 / guard_lo
-        scan = BallDomain((0.0,) * self.chart_dim, guard_hi + 0.05)
+        origin = (0.0,) * self.chart_dim
+        keep = 1.0 / (1.0 - SEAM_GUARD)
+        chart = PaddedDomain(BallDomain(origin, keep), BallDomain(origin, keep + 0.05))
+        sightings = []
+        for sign, tag in ((1.0, "+"), (-1.0, "-")):
+            for z in find_zeros(self.pushforward(field, sign), chart, resolution=res):
+                ambient = self.chart_point(np.asarray(z.location), sign)[0]
+                sightings.append((float(np.linalg.norm(z.location)), ChartZero(
+                    **vars(z), ambient=tuple(ambient.tolist()),
+                    chart=tag, chart_location=z.location)))
 
-        def try_tile(attempt, rng):
-            rot = (np.eye(self.ambient_dim) if attempt == 0
-                   else _rotation_matrix(self.ambient_dim, rng))
-            work = field if attempt == 0 else _rotated_field(field, rot, self.center)
-            zeros = []
-            for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                for z in find_zeros(self.pushforward(work, sign), scan, resolution=res):
-                    rho = float(np.linalg.norm(z.location))
-                    if guard_lo < rho < guard_hi:
-                        return None
-                    if rho <= 1.0:
-                        p_rot = self.chart_point(np.asarray(z.location), sign)[0]
-                        ambient = self.center + rot.T @ (p_rot - self.center)
-                        zeros.append(ChartZero(**vars(z), ambient=tuple(ambient.tolist()),
-                                               chart=tag, chart_location=z.location))
-            for i in range(len(zeros)):
-                for j in range(i + 1, len(zeros)):
-                    gap = np.linalg.norm(np.asarray(zeros[i].ambient)
-                                         - np.asarray(zeros[j].ambient))
-                    if gap < 1e-6 * self.radius:
-                        raise ManifoldError(
-                            "duplicate zero across charts; seam guard failed"
-                        )
-            return zeros
+        def same(a, b):
+            return np.linalg.norm(np.subtract(a, b)) < DEDUP_SCALE * self.radius
 
-        return _seam_search(try_tile, "S2" if self.chart_dim == 2 else "S3",
-                            "chart seam")
+        return _closed_result(sightings, same, "S2" if self.chart_dim == 2 else "S3")
 
 
 class FlatTorus:
@@ -238,7 +194,7 @@ class FlatTorus:
             raise ManifoldError("a flat 2-torus needs two positive periods")
 
     def periodicity_residual(self, field: VectorField) -> float:
-        rng = np.random.default_rng(SEAM_SEED)
+        rng = np.random.default_rng(SAMPLE_SEED)
         pts = rng.uniform(0.0, 1.0, size=(16, 2)) * np.asarray(self.periods)
         base = field.evaluate_many(pts)
         worst = 0.0
@@ -253,24 +209,17 @@ class FlatTorus:
         perr = self.periodicity_residual(field)
         if perr > PERIOD_TOL:
             raise ManifoldError(f"field is not periodic (residual {perr:.3e})")
-        px, py = self.periods
-        guard = SEAM_GUARD * min(self.periods)
+        p = np.asarray(self.periods)
+        tile = PaddedDomain(BoxDomain(-p / 8, 9 * p / 8), BoxDomain(-p / 4, 5 * p / 4))
+        sightings = []
+        for z in find_zeros(field, tile, resolution=resolution):
+            loc = np.asarray(z.location)
+            sightings.append((float(np.linalg.norm(loc - p / 2)), ChartZero(
+                **vars(z), ambient=tuple(np.mod(loc, p).tolist()),
+                chart="tile", chart_location=z.location)))
 
-        def try_tile(attempt, rng):
-            shift = (np.zeros(2) if attempt == 0
-                     else rng.uniform(0.0, 1.0, size=2) * np.asarray(self.periods))
-            box = BoxDomain(tuple(shift), (shift[0] + px, shift[1] + py))
-            try:
-                records = find_zeros(field, box, resolution=resolution)
-            except BoundaryZoneError:
-                return None
-            edge_dist = min((box.boundary_distance(np.asarray(z.location))
-                             for z in records), default=math.inf)
-            if edge_dist < guard:
-                return None
-            return [ChartZero(**vars(z), chart="tile", chart_location=z.location,
-                              ambient=tuple(float(np.mod(c, p))
-                                            for c, p in zip(z.location, self.periods)))
-                    for z in records]
+        def same(a, b):
+            d = np.subtract(a, b)
+            return np.linalg.norm(d - p * np.round(d / p)) < DEDUP_SCALE * p.min()
 
-        return _seam_search(try_tile, "T2", "tile edges")
+        return _closed_result(sightings, same, "T2")

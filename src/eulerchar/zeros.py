@@ -108,6 +108,14 @@ def _newton(field: VectorField, seeds: np.ndarray):
     return x, ~failed & (norm <= NEWTON_TOL)
 
 
+def _distinct(points, found, tol: float) -> np.ndarray:
+    """found, then each point not within tol of one already there, in order."""
+    for r in points:
+        if not np.any(_norms(found - r) < tol):
+            found = np.vstack([found, r])
+    return found
+
+
 def _candidate_cells(vals_grid, counts):
     """Cells where every component spans zero; indices into the grid."""
     n = len(counts)
@@ -130,7 +138,12 @@ def _candidate_cells(vals_grid, counts):
 
 def find_zeros(field: VectorField, domain, resolution: int | None = None,
                quadrature: SphereQuadrature | None = None) -> list:
-    """All isolated zeros of the field inside the domain, with indices."""
+    """All isolated zeros of the field inside the domain, with indices.
+
+    The grid scan and Newton cover domain.bounding_box(); only the zeros
+    domain.contains accepts are classified, but every distinct zero found
+    bounds their isolation radii.
+    """
     n = field.dimension
     if domain.dimension != n:
         raise ZeroFindingError("field and domain dimensions differ")
@@ -153,13 +166,13 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
 
     scale = domain.diameter
     floor = ISOLATION_FLOOR_SCALE * scale
-    roots = []
-    for r, converged in zip(*_newton(field, seeds)):
-        if (converged and domain.contains(r)
-                and not any(np.linalg.norm(r - q) < DEDUP_SCALE * scale for q in roots)):
-            roots.append(r)
+    x, ok = _newton(field, seeds)
+    x = x[ok]
+    inside = np.array([domain.contains(r) for r in x], dtype=bool)
+    roots = _distinct(x[inside], x[:0], DEDUP_SCALE * scale)
+    found = _distinct(x[~inside], roots, DEDUP_SCALE * scale)
 
-    if not roots:
+    if not len(roots):
         return []
 
     for r in roots:
@@ -168,14 +181,14 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
                 f"zero at {r.tolist()} within {floor:.2e} of the domain boundary"
             )
 
-    at = np.array(roots)
-    dets = np.linalg.det(field.jacobian_many(at))
-    field_norms = _norms(field.evaluate_many(at))
+    dets = np.linalg.det(field.jacobian_many(roots))
+    field_norms = _norms(field.evaluate_many(roots))
     records = []
     quad = quadrature or default_quadrature(n)
     for i, r in enumerate(roots):
-        others = [np.linalg.norm(r - q) for j, q in enumerate(roots) if j != i]
-        rad = 0.5 * min([domain.boundary_distance(r)] + others)
+        gaps = _norms(found - r)
+        gaps[i] = np.inf
+        rad = 0.5 * min(domain.boundary_distance(r), gaps.min())
         if rad < floor:
             raise ZeroFindingError(
                 f"zeros too close together near {r.tolist()} (radius {rad:.2e})"

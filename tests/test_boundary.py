@@ -142,6 +142,19 @@ def test_constant_field_ball4():
     assert not rep.endorsed
 
 
+def test_ball4_boundary_zeros_near_the_chart_seam():
+    # the fourth draw of (A, c) puts boundary zeros of the tangential part
+    # of A(x - c) near the seam of every chart pair the old retries tried
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        a = rng.normal(size=(4, 4))
+        c = 0.2 * rng.normal(size=4)
+    zs = boundary_zeros(linear_field(a, offset=-a @ c), BALL4)
+    assert len(zs) == 8
+    assert sum(z.winding for z in zs) == 0
+    assert all(abs(np.linalg.norm(z.location) - 1.0) < 1e-12 for z in zs)
+
+
 def test_field_vanishing_on_boundary_rejected():
     f = linear_field(np.eye(2), offset=[-1.0, 0.0])  # zero at (1, 0)
     with pytest.raises(BoundaryError):

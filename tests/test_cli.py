@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from eulerchar.cli import (
@@ -228,3 +229,35 @@ def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):
     monkeypatch.setattr(manifolds, "find_zeros", spy)
     assert main(["run", "s2-rotation", "--resolution-scale", "1.01"]) == 0
     assert seen and set(seen) == {24}
+
+
+def _cond60_linear_spec():
+    # A = U diag(3, 1.5, 1, 0.05) V^T: the 4-D winding rule cannot certify
+    # the zero of A(x - c), so the run ends in UndersampledError
+    rng = np.random.default_rng(20240601)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    a = u @ np.diag([3.0, 1.5, 1.0, 0.05]) @ v.T
+    b = -a @ np.array([0.1, -0.2, 0.05, 0.15])
+    comps = [[[[0, 0, 0, 0], float(b[i])]]
+             + [[[int(j == k) for k in range(4)], float(a[i, j])] for j in range(4)]
+             for i in range(4)]
+    return {"kind": "polynomial", "dimension": 4, "components": comps}
+
+
+@pytest.mark.parametrize("domain,field,error", [
+    ({"kind": "ball", "center": [0.0] * 4, "radius": 1.2}, _cond60_linear_spec(),
+     "UndersampledError"),
+    (_DISK, {"kind": "complex-product", "roots": [[1.0, 0.0]]}, "BoundaryError"),
+], ids=["cond-60-ball4", "zero-on-the-circle"])
+def test_uncertified_result_exits_3(tmp_path, capsys, domain, field, error):
+    path = write_scenario(tmp_path, {
+        "schema": 1, "name": "uncertified", "methods": ["boundary-theorem"],
+        "domain": domain, "field": field,
+    })
+    assert main(["run", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: scenario 'uncertified': uncertified: {error}: ")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerchar.fields import (
     CallableField,
@@ -128,14 +130,80 @@ def test_torus_constant_field_no_zeros():
     assert result.agree
 
 
-def test_torus_sines_field():
-    result = FlatTorus().index_sum(torus_sines_field())
-    assert result.total == 0
+def shifted_sines(periods, shifts):
+    """(sin 2 pi (x - sx)/px, sin 2 pi (y - sy)/py): zeros at shifts + (i px/2, j py/2)."""
+    k = 2.0 * np.pi / np.asarray(periods, dtype=float)
+    s = np.asarray(shifts, dtype=float)
+
+    def jac(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, [0, 1], [0, 1]] = k * np.cos(k * (pts - s))
+        return out
+
+    return CallableField(2, lambda pts: np.sin(k * (pts - s)), jac=jac,
+                         name="shifted-sines", batch=True)
+
+
+def assert_torus_zeros(result, periods, shifts):
+    """Index +1 at shifts + (i px/2, j py/2) for i == j, -1 otherwise, once each."""
+    p = np.asarray(periods, dtype=float)
+    assert result.total == 0 == result.chi_oracle and result.agree
     assert len(result.zeros) == 4
-    assert sorted(z.winding for z in result.zeros) == [-1, -1, 1, 1]
-    # zeros started on the tile corners, so the seam protocol must retry
-    assert result.attempts > 1
-    assert any(f.startswith("seam-retry") for f in result.flags)
+    for i in (0, 1):
+        for j in (0, 1):
+            want = np.asarray(shifts) + 0.5 * p * (i, j)
+            gaps = [np.subtract(z.ambient, want) for z in result.zeros]
+            hits = [z for z, d in zip(result.zeros, gaps)
+                    if np.max(np.abs(d - p * np.round(d / p))) < 1e-9 * p.min()]
+            assert len(hits) == 1, (want, result.zeros)
+            assert hits[0].winding == (1 if i == j else -1)
+
+
+def test_torus_sines_field():
+    # two of the four zeros sit on the tile corners and edges
+    result = FlatTorus().index_sum(torus_sines_field())
+    assert_torus_zeros(result, (1.0, 1.0), (0.0, 0.0))
+    assert result.attempts == 1 and result.flags == ()
+
+
+def test_torus_zeros_near_every_tile_edge():
+    # x in {0.075, 0.575}, y in {0.21, 0.71}: each of the old retry tiles
+    # had a zero in its guard band
+    result = FlatTorus().index_sum(shifted_sines((1.0, 1.0), (0.575, 0.21)))
+    assert_torus_zeros(result, (1.0, 1.0), (0.575, 0.21))
+
+
+_PERIOD = st.floats(0.5, 2.0)
+_SHIFT = st.one_of(st.integers(0, 7).map(lambda k: k / 8.0), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(px=_PERIOD, py=_PERIOD, fx=_SHIFT, fy=_SHIFT)
+def test_shifted_sines_torus_property(px, py, fx, fy):
+    periods = (px, py)
+    shifts = (fx * px, fy * py)
+    assert_torus_zeros(FlatTorus(periods).index_sum(shifted_sines(periods, shifts)),
+                       periods, shifts)
+
+
+_AXIS = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(axis=_AXIS, radius=st.floats(0.5, 2.0))
+def test_rotation_about_any_axis_property(axis, radius):
+    # u x p vanishes at +-r u; equatorial axes put both zeros on |xi| = 1
+    # in both charts, where each must still count once
+    u = np.asarray(axis) / np.linalg.norm(axis)
+    f = CallableField(3, lambda pts: np.cross(u, pts), name="axis-rotation", batch=True)
+    result = SphereManifold(radius=radius).index_sum(f)
+    assert result.total == 2 == result.chi_oracle
+    assert len(result.zeros) == 2 and all(z.winding == 1 for z in result.zeros)
+    tips = sorted(np.asarray(z.ambient) @ u for z in result.zeros)
+    assert np.allclose(tips, [-radius, radius], atol=1e-8)
 
 
 def test_torus_rejects_non_periodic_field():

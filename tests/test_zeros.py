@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eulerchar import zeros
-from eulerchar.domains import BallDomain, BoxDomain
+from eulerchar.domains import BallDomain, BoxDomain, PaddedDomain
 from eulerchar.fields import (
     ComplexProductField,
     VectorField,
@@ -120,6 +120,17 @@ def test_isolation_radii_disjoint():
     assert len(zs) == 2
     d = np.linalg.norm(np.subtract(zs[0].location, zs[1].location))
     assert zs[0].isolation_radius + zs[1].isolation_radius <= d + 1e-12
+
+
+def test_zero_outside_keep_bounds_the_isolation_radius():
+    # 0.3 lies in the scan ball but outside the kept one: it is not
+    # classified, yet the kept zero's winding sphere must not reach it
+    f = ComplexProductField(roots=[0.0, 0.3])
+    padded = PaddedDomain(BallDomain((0.0, 0.0), 0.2), BallDomain((0.0, 0.0), 1.0))
+    zs = find_zeros(f, padded)
+    assert len(zs) == 1 and np.allclose(zs[0].location, 0.0, atol=1e-12)
+    assert zs[0].isolation_radius == pytest.approx(0.15, abs=1e-12)
+    assert zs[0].winding == 1
 
 
 def test_torus_sines_on_tile():
