@@ -349,6 +349,10 @@ def cmd_run(args) -> int:
     except ScenarioError as e:
         print(f"error: scenario {sc['name']!r}: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: scenario {sc['name']!r}: out of memory at --resolution-scale "
+              f"{args.resolution_scale:g}: {e}", file=sys.stderr)
+        return 1
     except (WindingError, ZeroFindingError, BoundaryError, ManifoldError, GbcError) as e:
         print(f"error: scenario {sc['name']!r}: uncertified: {type(e).__name__}: {e}",
               file=sys.stderr)

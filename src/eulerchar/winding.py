@@ -1,14 +1,21 @@
 """Winding numbers of vector fields over small spheres.
 
 The winding (Brouwer degree of the normalized field n = phi/|phi| on a
-sphere around a candidate zero) is computed as a surface integral of the
-pulled-back unit-sphere volume form, evaluated pointwise as
+sphere around a candidate zero) is the surface integral of the
+pulled-back unit-sphere volume form, normalized by the unit-sphere area.
+At the sphere point with outward unit normal s its density is
 
-    det([ n | J_phi t_1 | ... | J_phi t_{N-1} ]) / |phi|^{N-1}
+    s . adj(J_phi) phi / |phi|^N ,
 
-over an oriented orthonormal tangent frame (t_j), normalized by the
-unit-sphere area.  Columns proportional to n drop out of the
-determinant, so no explicit tangential projection is needed.
+computed as -det([[J_phi, phi], [s^T, 0]]) / |phi|^N.  It equals the
+classical det([ phi | J_phi t_1 | ... | J_phi t_{N-1} ]) / |phi|^N over
+any oriented orthonormal tangent frame (t_j): since [s | T] is orthonormal
+with det +1, det[v | T] = s . v, so det[phi | J T] = det J det[J^-1 phi | T]
+= s . adj(J) phi.  Both sides are polynomials in J, so the identity also
+holds where J is singular.  Only the node s enters, and no tangent frame
+is built or stored.  The sum over nodes runs one fixed-size block at a
+time, in a fixed order, so memory stays bounded and reruns are
+byte-identical.
 
 Two independent cross-checks live here as well: a 1-D angle-summation
 degree for planar fields, and a generic preimage-counting degree that
@@ -18,6 +25,7 @@ probe direction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +38,7 @@ from .triangulations import cross_polytope_facets
 
 MIN_FIELD_NORM = 1e-8
 MAX_RESIDUAL = 0.1
+BLOCK = 8192  # nodes per field call in winding_number
 
 _DEFAULT_NODES = {2: (512,), 3: (48, 96), 4: (48, 48, 96)}
 _DEFAULT_MESH_LEVEL = {2: 6, 3: 4, 4: 3}
@@ -53,25 +62,37 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _oriented_tangents(nodes: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames T with det([s | T]) = +1 at each node.
+def _det(cols):
+    """Determinant of a k x k matrix given as k columns of k entries.
 
-    Householder reflections carry e_N to -sign(s_N) s, so their leading
-    columns span the tangent space; a determinant sweep then fixes the
-    outward-normal-first orientation.
+    Entries are per-node arrays (or scalars), so one call handles a whole
+    block of nodes.  Laplace expansion column by column: after column j,
+    ``minors`` holds the determinant of every (j+1)-subset of rows in the
+    first j+1 columns, each built once from the previous column's minors.
     """
-    m, n = nodes.shape
-    sign = np.where(nodes[:, -1] >= 0.0, 1.0, -1.0)
-    v = nodes.copy()
-    v[:, -1] += sign
-    vv = np.einsum("ij,ij->i", v, v)
-    h = np.eye(n)[None, :, :] - 2.0 * v[:, :, None] * v[:, None, :] / vv[:, None, None]
-    tang = h[:, :, : n - 1]
-    full = np.concatenate([nodes[:, :, None], tang], axis=2)
-    flip = np.linalg.det(full) < 0.0
-    tang = tang.copy()
-    tang[flip, :, -1] *= -1.0
-    return tang
+    k = len(cols)
+    minors = {(): 1.0}
+    for j, col in enumerate(cols):
+        nxt = {}
+        for rows in itertools.combinations(range(k), j + 1):
+            acc = 0.0
+            for pos, i in enumerate(rows):
+                term = col[i] * minors[rows[:pos] + rows[pos + 1:]]
+                if (j - pos) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            nxt[rows] = acc
+        minors = nxt
+    return minors[tuple(range(k))]
+
+
+def _degree_density(s, phi, jac):
+    """s . adj(J) phi at each node: s (m, N), phi (m, N), jac (m, N, N)."""
+    n = s.shape[1]
+    cols = [[jac[:, i, j] for i in range(n)] + [s[:, j]] for j in range(n)]
+    cols.append([phi[:, i] for i in range(n)] + [0.0])
+    return -_det(cols)
 
 
 def scaled_count(count: int, scale: float) -> int:
@@ -105,7 +126,7 @@ def tensor_rule(rules):
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Nodes/weights on the unit sphere S^(N-1) plus oriented tangents.
+    """Nodes/weights on the unit sphere S^(N-1).
 
     Weights sum to the sphere area.  The rule is a tensor product:
     Gauss-Legendre in the N-2 polar angles with the measure's sine powers
@@ -116,7 +137,6 @@ class SphereQuadrature:
     dimension: int
     nodes: np.ndarray
     weights: np.ndarray
-    tangents: np.ndarray
     counts: tuple
 
     @staticmethod
@@ -144,11 +164,7 @@ class SphereQuadrature:
             nodes[:, k] = sin_running * np.cos(ang)
             sin_running = sin_running * np.sin(ang)
         nodes[:, dimension - 1] = sin_running
-        if dimension == 2:
-            tangents = np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)[:, :, None]
-        else:
-            tangents = _oriented_tangents(nodes)
-        return SphereQuadrature(dimension, nodes, weights, tangents, counts)
+        return SphereQuadrature(dimension, nodes, weights, counts)
 
     def refine(self, factor: int = 2) -> "SphereQuadrature":
         return SphereQuadrature.build(
@@ -198,21 +214,20 @@ def winding_number(field: VectorField, center, radius: float,
     if quad.dimension != n:
         raise WindingError("quadrature dimension mismatch")
 
-    pts = center[None, :] + radius * quad.nodes
-    phi = field.evaluate_many(pts)
-    norms = np.linalg.norm(phi, axis=1)
-    lo = float(norms.min())
-    if lo <= MIN_FIELD_NORM:
+    total = 0.0
+    for lo in range(0, quad.size, BLOCK):
+        s = quad.nodes[lo:lo + BLOCK]
+        pts = center[None, :] + radius * s
+        phi = field.evaluate_many(pts)
+        norms = np.linalg.norm(phi, axis=1)
         k = int(np.argmin(norms))
-        raise ZeroOnSphereError(
-            f"field magnitude {lo:.3e} on sphere at {pts[k].tolist()}"
-        )
-    jac = field.jacobian_many(pts)
-    cols = np.concatenate(
-        [phi[:, :, None], np.einsum("pij,pjk->pik", jac, quad.tangents)], axis=2
-    )
-    dets = np.linalg.det(cols) / norms ** n
-    raw = radius ** (n - 1) * float(np.dot(quad.weights, dets)) / sphere_area(n)
+        if norms[k] <= MIN_FIELD_NORM:
+            raise ZeroOnSphereError(
+                f"field magnitude {norms[k]:.3e} on sphere at {pts[k].tolist()}"
+            )
+        density = _degree_density(s, phi, field.jacobian_many(pts)) / norms ** n
+        total += float(np.dot(quad.weights[lo:lo + BLOCK], density))
+    raw = radius ** (n - 1) * total / sphere_area(n)
     result = WindingResult.from_raw(raw, center, radius)
     if abs(result.residual) > MAX_RESIDUAL:
         raise UndersampledError(

@@ -261,3 +261,14 @@ def test_uncertified_result_exits_3(tmp_path, capsys, domain, field, error):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: scenario 'uncertified': uncertified: {error}: ")
+
+
+def test_unallocatable_resolution_scale_exits_1(capsys):
+    # the first scan grid at scale 1000 would need 71.1 PiB: it fails at once
+    assert main(["run", "ball4-rotation", "--resolution-scale", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: scenario 'ball4-rotation': out of memory ")
+    assert "Unable to allocate" in lines[0]

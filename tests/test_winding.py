@@ -7,6 +7,7 @@ import pytest
 
 from eulerchar.fields import (
     ComplexProductField,
+    PolynomialField,
     complex_power_field,
     constant_field,
     identity_field,
@@ -16,9 +17,11 @@ from eulerchar.fields import (
     saddle_field,
 )
 from eulerchar.winding import (
+    BLOCK,
     SphereQuadrature,
     UndersampledError,
     ZeroOnSphereError,
+    _degree_density,
     default_quadrature,
     oracle_degree_anglesum,
     oracle_degree_preimage,
@@ -44,14 +47,73 @@ def test_quadrature_weights_sum_to_area():
         assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
-def test_quadrature_tangents_oriented():
+def _oriented_frame(s, rng):
+    """Orthonormal T with det([s | T]) = +1, by QR of [s | random]."""
+    n = s.size
+    q, r = np.linalg.qr(np.column_stack([s, rng.standard_normal((n, n - 1))]))
+    q = q * np.sign(np.diag(r))  # first column is +s
+    if np.linalg.det(q) < 0.0:
+        q[:, -1] *= -1.0
+    return q[:, 1:]
+
+
+def test_degree_density_matches_tangent_frame_determinant():
+    # s . adj(J) phi equals det([phi | J T]) over any oriented tangent frame
     rng = np.random.default_rng(RNG_SEED)
     for n in (2, 3, 4):
-        q = SphereQuadrature.build(n)
-        take = rng.choice(q.size, size=25, replace=False)
-        for i in take:
-            m = np.column_stack([q.nodes[i], *q.tangents[i].T])
-            assert np.linalg.det(m) > 0.9  # orthonormal and outward
+        s = rng.standard_normal((20, n))
+        s /= np.linalg.norm(s, axis=1)[:, None]
+        phi = rng.standard_normal((20, n))
+        jac = rng.standard_normal((20, n, n))
+        u, sv, vt = np.linalg.svd(jac[-1])
+        jac[-1] = (u * np.append(sv[:-1], 0.0)) @ vt  # rank N-1
+        assert np.linalg.matrix_rank(jac[-1]) == n - 1
+        dens = _degree_density(s, phi, jac)
+        for k in range(20):
+            t = _oriented_frame(s[k], rng)
+            assert np.linalg.det(np.column_stack([s[k], t])) > 0.0
+            ref = np.linalg.det(np.column_stack([phi[k], jac[k] @ t]))
+            scale = np.linalg.norm(phi[k]) * np.linalg.norm(jac[k], 2) ** (n - 1)
+            assert abs(dens[k] - ref) <= 1e-12 * scale
+
+
+def _one_shot_winding(field, center, radius, quad):
+    """Reference: det([phi | J T]) over all nodes at once, one dot product."""
+    rng = np.random.default_rng(RNG_SEED)
+    n = quad.dimension
+    pts = np.asarray(center) + radius * quad.nodes
+    phi = field.evaluate_many(pts)
+    jac = field.jacobian_many(pts)
+    frames = np.stack([_oriented_frame(s, rng) for s in quad.nodes])
+    cols = np.concatenate([phi[:, :, None], jac @ frames], axis=2)
+    dets = np.linalg.det(cols) / np.linalg.norm(phi, axis=1) ** n
+    return radius ** (n - 1) * float(np.dot(quad.weights, dets)) / sphere_area(n)
+
+
+def test_blocked_winding_matches_one_shot_sum():
+    q = SphereQuadrature.build(3, counts=(96, 192))
+    assert q.size == 18432 and q.size > 2 * BLOCK
+    # z^2 in the (x, y) plane, tilted by z: degree 2 inside the sphere
+    f = PolynomialField(3, [
+        [((2, 0, 0), 1.0), ((0, 2, 0), -1.0), ((0, 0, 1), 0.3)],
+        [((1, 1, 0), 2.0), ((0, 0, 1), -0.2)],
+        [((0, 0, 1), 1.0), ((1, 0, 0), 0.4)],
+    ])
+    w = winding_number(f, (0.05, -0.1, 0.0), 0.9, q)
+    ref = _one_shot_winding(f, (0.05, -0.1, 0.0), 0.9, q)
+    assert w.rounded == oracle_degree_preimage(f, (0.05, -0.1, 0.0), 0.9)
+    assert abs(w.raw - ref) < 1e-13
+
+
+def test_zero_on_last_node_of_final_block_detected():
+    q = SphereQuadrature.build(3, counts=(96, 192))
+    center, r = np.array([0.2, -0.1, 0.3]), 0.7
+    zero = center + r * q.nodes[-1]
+    f = linear_field(np.eye(3), offset=-zero)
+    assert q.size > 2 * BLOCK  # the last node lies in the third block
+    with pytest.raises(ZeroOnSphereError) as err:
+        winding_number(f, center, r, q)
+    assert str(zero.tolist()) in str(err.value)
 
 
 def test_quadrature_moment_exactness():
