@@ -17,6 +17,11 @@ for arbitrary grade-2 connections.  The covariant derivative D u_i is
 evaluated by parallel-transporting neighbor samples with the rotor
 exp(-h omega) before differencing; reusing the plain difference d u_i
 on both sides would cancel exactly and certify nothing.
+
+Every derivative, the curvature's stencil of stencils too, reads the
+frame from one FrameField.frame call on the distinct points of its
+stencil x, x +/- h e_mu, matched by their bytes: (x + h e_mu) - h e_mu
+may differ from x in the last bit, and keeps the frame it gets alone.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .clifford import (
     Multivector,
     blade_grades,
     exp,
-    gamma,
     versor_frame,
 )
 
@@ -48,13 +52,7 @@ class ChartError(ValueError):
 class ConnectionSample:
     """Connection components omega_mu at one chart point or a batch of points."""
 
-    point: tuple
-    step: float
     omegas: tuple  # length-N tuple of Multivectors
-
-    @property
-    def dimension(self) -> int:
-        return len(self.omegas)
 
     def max_norm(self) -> float:
         return max(w.norm() for w in self.omegas)
@@ -67,8 +65,6 @@ class ConnectionSample:
 class CurvatureSample:
     """Antisymmetric curvature components F_{mu nu}, mu < nu."""
 
-    point: tuple
-    step: float
     components: dict  # (mu, nu) -> Multivector
 
     def max_norm(self) -> float:
@@ -108,13 +104,15 @@ class FrameField:
             )
 
     def frame(self, x) -> Frame:
+        """Frame at one point or a batch; an error names the first bad point."""
         x = np.asarray(x, dtype=float)
         fr = self._frame_fn(x)
-        resid = fr.orthonormality_residual()
-        if resid > FRAME_TOL:
-            raise CliffordError(
-                f"frame at {x.tolist()} not orthonormal (residual {resid:.3e})"
-            )
+        m = fr.matrix().reshape(-1, self.dimension, self.dimension)
+        resid = np.abs(m @ m.swapaxes(1, 2) - np.eye(self.dimension)).max(axis=(1, 2))
+        bad = np.flatnonzero(resid > FRAME_TOL)
+        if bad.size:
+            raise CliffordError(f"frame at {x.reshape(-1, self.dimension)[bad[0]].tolist()} "
+                                f"not orthonormal (residual {resid[bad[0]]:.3e})")
         return fr
 
     def __repr__(self):
@@ -125,8 +123,11 @@ class FrameField:
 
 
 def constant_frame_field(dimension, name="constant-frame") -> FrameField:
-    fr = Frame(dimension, tuple(gamma(dimension, a) for a in range(1, dimension + 1)))
-    return FrameField(dimension, lambda x: fr, name=name)
+    def frame_fn(x):  # the gamma basis at every point of x
+        vectors = (np.broadcast_to(e, x.shape) for e in np.eye(dimension))
+        return Frame(dimension, tuple(Multivector.from_vector(dimension, v) for v in vectors))
+
+    return FrameField(dimension, frame_fn, name=name)
 
 
 def hedgehog_frame_field(winding: int, name=None) -> FrameField:
@@ -189,16 +190,51 @@ def random_connection(dimension, rng: np.random.Generator, scale: float = 0.7):
 # -- differential operations -------------------------------------------
 
 
+def _stencil(x, h: float) -> np.ndarray:
+    """x, x + h e_mu and x - h e_mu (mu = 0..N-1) stacked on a new axis 0."""
+    x = np.asarray(x, dtype=float)
+    steps = h * np.eye(x.shape[-1])
+    return np.stack([x] + [x + step for step in steps] + [x - step for step in steps])
+
+
+def _frames(ff: FrameField, pts) -> tuple:
+    """Frame vectors u_i at every row of pts, batched in pts' shape, from one
+    ff.frame call on the distinct rows (matched by their bytes)."""
+    flat = np.ascontiguousarray(pts, dtype=float).reshape(-1, ff.dimension)
+    rows = flat.view(np.dtype((np.void, flat.itemsize * ff.dimension))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    shape = np.shape(pts)[:-1] + (1 << ff.dimension,)
+    return tuple(Multivector(ff.dimension, u.coeffs[inverse].reshape(shape))
+                 for u in ff.frame(flat[first]).vectors)
+
+
+def _at(w: Multivector, k: int) -> Multivector:
+    """Stencil slot k: 0 is x, 1 + mu is x + h e_mu, 1 + N + mu is x - h e_mu."""
+    return Multivector(w.dimension, w.coeffs[k])
+
+
+def _derivatives(u, h: float):
+    """Central differences du[mu][i] of stencil-sampled frame vectors."""
+    return [[(_at(ui, 1 + mu) - _at(ui, 1 + len(u) + mu)) * (0.5 / h) for ui in u]
+            for mu in range(len(u))]
+
+
+def _curvature(w, h: float) -> CurvatureSample:
+    """F_{mu nu} from connection components w sampled on a stencil."""
+    n = len(w)
+    comps = {}
+    for mu in range(n):
+        for nu in range(mu + 1, n):
+            d_mu_w_nu = (_at(w[nu], 1 + mu) - _at(w[nu], 1 + n + mu)) * (0.5 / h)
+            d_nu_w_mu = (_at(w[mu], 1 + nu) - _at(w[mu], 1 + n + nu)) * (0.5 / h)
+            wm, wn = _at(w[mu], 0), _at(w[nu], 0)
+            comps[(mu, nu)] = d_mu_w_nu - d_nu_w_mu - (wm * wn - wn * wm)
+    return CurvatureSample(comps)
+
+
 def frame_derivatives(ff: FrameField, x, h: float = DEFAULT_STEP):
     """Central differences du_i/dx_mu; du[mu][i] is a grade-1 Multivector."""
-    x = np.asarray(x, dtype=float)
-    n = ff.dimension
-    du = []
-    for step in h * np.eye(n):
-        hi = ff.frame(x + step).vectors
-        lo = ff.frame(x - step).vectors
-        du.append([(a - b) * (0.5 / h) for a, b in zip(hi, lo)])
-    return du
+    return _derivatives(_frames(ff, _stencil(x, h)), h)
 
 
 def pseudo_flat_connection(ff: FrameField, x, h: float = DEFAULT_STEP) -> ConnectionSample:
@@ -209,15 +245,10 @@ def pseudo_flat_connection(ff: FrameField, x, h: float = DEFAULT_STEP) -> Connec
     """
     x = np.asarray(x, dtype=float)
     ff.check_point(x, margin=h)
-    u = ff.frame(x).vectors
-    du = frame_derivatives(ff, x, h)
-    omegas = []
-    for mu in range(ff.dimension):
-        acc = Multivector.zero(ff.dimension)
-        for i in range(ff.dimension):
-            acc = acc + du[mu][i] * u[i]
-        omegas.append(acc * 0.25)
-    return ConnectionSample(tuple(x.tolist()), h, tuple(omegas))
+    u = _frames(ff, _stencil(x, h))
+    zero = Multivector.zero(ff.dimension)
+    return ConnectionSample(tuple(sum((d * _at(ui, 0) for d, ui in zip(row, u)), zero) * 0.25
+                                  for row in _derivatives(u, h)))
 
 
 def covariant_frame_derivatives(ff: FrameField, omegas, x, h: float = DEFAULT_STEP):
@@ -227,20 +258,14 @@ def covariant_frame_derivatives(ff: FrameField, omegas, x, h: float = DEFAULT_ST
     G = exp(-h omega_mu) before the central difference, which carries an
     O(h^2) truncation error independent of the one in du_i.
     """
-    x = np.asarray(x, dtype=float)
+    u = _frames(ff, _stencil(x, h))
     n = ff.dimension
     out = []
-    for mu, step in enumerate(h * np.eye(n)):
+    for mu in range(n):
         g = exp(omegas[mu] * (-h))
         grev = g.reverse()
-        hi = ff.frame(x + step).vectors
-        lo = ff.frame(x - step).vectors
-        row = []
-        for i in range(n):
-            fwd = g * hi[i] * grev
-            back = grev * lo[i] * g
-            row.append((fwd - back) * (0.5 / h))
-        out.append(row)
+        out.append([(g * _at(ui, 1 + mu) * grev - grev * _at(ui, 1 + n + mu) * g)
+                    * (0.5 / h) for ui in u])
     return out
 
 
@@ -251,7 +276,6 @@ def decompose_check(ff: FrameField, omegas, x, h: float = DEFAULT_STEP) -> float
     worst max-abs coefficient deviation across components; O(h^2) in the
     step for smooth inputs.
     """
-    x = np.asarray(x, dtype=float)
     n = ff.dimension
     if len(omegas) != n:
         raise ValueError(f"need {n} connection components")
@@ -259,14 +283,12 @@ def decompose_check(ff: FrameField, omegas, x, h: float = DEFAULT_STEP) -> float
         leak = (w - w.grade_project(2)).norm()
         if leak > 1e-12:
             raise CliffordError(f"connection component not grade 2 (leak {leak:.3e})")
-    u = ff.frame(x).vectors
+    u = _frames(ff, x)
     du = frame_derivatives(ff, x, h)
     cov = covariant_frame_derivatives(ff, omegas, x, h)
     worst = 0.0
     for mu in range(n):
-        acc = Multivector.zero(n)
-        for i in range(n):
-            acc = acc + (du[mu][i] - cov[mu][i]) * u[i]
+        acc = sum(((d - c) * ui for d, c, ui in zip(du[mu], cov[mu], u)), Multivector.zero(n))
         worst = max(worst, (acc * 0.25 - omegas[mu]).norm())
     return worst
 
@@ -274,22 +296,10 @@ def decompose_check(ff: FrameField, omegas, x, h: float = DEFAULT_STEP) -> float
 def curvature(conn_fn, x, h: float = DEFAULT_STEP) -> CurvatureSample:
     """F_{mu nu} = d_mu omega_nu - d_nu omega_mu - [omega_mu, omega_nu].
 
-    conn_fn maps a point, or a batch, to a ConnectionSample; derivatives
-    are central differences of the sampled components.
+    conn_fn maps a batch of points to a ConnectionSample; it is called
+    once, on the stencil of x, whose central differences give d omega.
     """
-    x = np.asarray(x, dtype=float)
-    here = conn_fn(x)
-    n = here.dimension
-    plus = [conn_fn(x + step) for step in h * np.eye(n)]
-    minus = [conn_fn(x - step) for step in h * np.eye(n)]
-    comps = {}
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            d_mu_w_nu = (plus[mu].omegas[nu] - minus[mu].omegas[nu]) * (0.5 / h)
-            d_nu_w_mu = (plus[nu].omegas[mu] - minus[nu].omegas[mu]) * (0.5 / h)
-            wm, wn = here.omegas[mu], here.omegas[nu]
-            comps[(mu, nu)] = d_mu_w_nu - d_nu_w_mu - (wm * wn - wn * wm)
-    return CurvatureSample(tuple(x.tolist()), h, comps)
+    return _curvature(conn_fn(_stencil(x, h)).omegas, h)
 
 
 # -- flatness and holonomy scans ----------------------------------------
@@ -357,28 +367,18 @@ def holonomy_flux(ff: FrameField, singular_point, loop_radius: float,
 def flatness_scan(ff: FrameField, grid_points, h: float = DEFAULT_STEP,
                   loop_radius: float | None = None,
                   loop_segments: int = 512) -> FlatnessReport:
-    """Check F(omega_0) = 0 at grid_points; measure the singular points' flux."""
+    """Check F(omega_0) = 0 at grid_points from one connection sample on
+    their stencil; measure the flux around the singular points, which
+    needs a loop_radius."""
+    loops = ff.singular_points if ff.dimension == 2 else []
+    if loops and loop_radius is None:
+        raise ChartError("flatness_scan needs a loop_radius around singular points")
     grid_points = np.asarray(grid_points, dtype=float)
     ff.check_point(grid_points, margin=2 * h)
-    conn_fn = lambda y: pseudo_flat_connection(ff, y, h)
-    max_leak = conn_fn(grid_points).grade2_leakage()
-    max_f = curvature(conn_fn, grid_points, h).max_norm()
-
-    fluxes = []
-    if ff.dimension == 2:
-        for z in ff.singular_points:
-            if loop_radius is not None:
-                rad = loop_radius
-            else:
-                edge = float(min(np.min(z - ff.chart_lo), np.min(ff.chart_hi - z)))
-                others = [np.linalg.norm(z - w) for w in ff.singular_points
-                          if w is not z and np.linalg.norm(z - w) > 0]
-                rad = 0.5 * min([edge] + [0.5 * d for d in others])
-            fluxes.append(holonomy_flux(ff, z, rad, loop_segments, h))
-    return FlatnessReport(
-        points_checked=int(grid_points.shape[0]),
-        max_curvature_norm=float(max_f),
-        max_grade2_leakage=float(max_leak),
-        step=float(h),
-        fluxes=tuple(fluxes),
-    )
+    omegas = pseudo_flat_connection(ff, _stencil(grid_points, h), h).omegas
+    max_leak = ConnectionSample(tuple(_at(w, 0) for w in omegas)).grade2_leakage()
+    max_f = _curvature(omegas, h).max_norm()
+    fluxes = [holonomy_flux(ff, z, loop_radius, loop_segments, h) for z in loops]
+    return FlatnessReport(points_checked=int(grid_points.shape[0]),
+                          max_curvature_norm=float(max_f), max_grade2_leakage=float(max_leak),
+                          step=float(h), fluxes=tuple(fluxes))

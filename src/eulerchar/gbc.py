@@ -152,10 +152,8 @@ class CurvedManifold:
         return None
 
     def curvature(self, pts: np.ndarray) -> np.ndarray:
-        const = self.curvature_constant()
-        if const is None:
-            raise NotImplementedError
-        return np.broadcast_to(const, (pts.shape[0],) + const.shape)
+        """Pointwise frame curvature; read only when curvature_constant is None."""
+        raise NotImplementedError
 
     def euler_density(self, pts: np.ndarray) -> np.ndarray:
         const = self.curvature_constant()

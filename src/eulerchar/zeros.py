@@ -148,6 +148,10 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
     if domain.dimension != n:
         raise ZeroFindingError("field and domain dimensions differ")
     res = resolution or DEFAULT_RESOLUTION.get(n, 8)
+    # numpy cannot even index a float64 grid this large: fail before any allocation
+    if (res + 1) ** n * n * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a scan grid of {res + 1}^{n} points in R^{n} is too large "
+                          f"to index")
     lo, hi = domain.bounding_box()
     axes = [np.linspace(lo[j], hi[j], res + 1) for j in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")

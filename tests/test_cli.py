@@ -272,3 +272,11 @@ def test_unallocatable_resolution_scale_exits_1(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: scenario 'ball4-rotation': out of memory ")
     assert "Unable to allocate" in lines[0]
+    # at scale 1e5 the grid's byte count overflows the index type: no allocation
+    assert main(["run", "ball4-rotation", "--resolution-scale", "1e5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: scenario 'ball4-rotation': out of memory ")
+    assert "too large to index" in lines[0]

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from eulerchar.clifford import CliffordError, Frame, Multivector, gamma
 from eulerchar.connection import (
+    FrameField,
     ChartError,
     annulus_grid,
     constant_frame_field,
@@ -205,3 +207,106 @@ def test_check_point_batch_names_first_bad_row():
     bad[5] = pts[5]
     with pytest.raises(ChartError, match=r"\[1\.5, 0\.2\] too close to chart edge"):
         ff.check_point(bad, margin=1e-4)
+
+
+def test_constant_frame_field_batches():
+    ff = constant_frame_field(2)
+    batch = np.zeros((5, 2))
+    assert all(u.coeffs.shape == (5, 4) for u in ff.frame(batch).vectors)
+    sample = pseudo_flat_connection(ff, batch)
+    assert all(w.coeffs.shape == (5, 4) for w in sample.omegas)
+    assert sample.max_norm() == 0.0
+
+
+def test_frame_names_first_non_orthonormal_row():
+    def frame_fn(x):
+        stretch = np.where(x[..., :1] > 0.5, 1.5, 1.0)  # broken where x_1 > 0.5
+        return Frame(2, (Multivector(2, stretch * gamma(2, 1).coeffs),
+                         Multivector(2, np.broadcast_to(gamma(2, 2).coeffs,
+                                                        x.shape[:-1] + (4,)))))
+
+    ff = FrameField(2, frame_fn)
+    ff.frame([[0.0, 0.0], [0.3, 0.1]])
+    with pytest.raises(CliffordError, match=r"^frame at \[0\.7, 0\.2\] not orthonormal"):
+        ff.frame([[0.0, 0.0], [0.3, 0.1], [0.7, 0.2], [0.9, 0.3]])
+
+
+# the nested sampler the stencil replaced: every derivative resamples its
+# own +-h neighbours, and the curvature resamples the whole connection there
+
+
+def _nested_connection(ff, x, h):
+    x = np.asarray(x, dtype=float)
+    u = ff.frame(x).vectors
+    omegas = []
+    for step in h * np.eye(ff.dimension):
+        hi, lo = ff.frame(x + step).vectors, ff.frame(x - step).vectors
+        acc = Multivector.zero(ff.dimension)
+        for a, b, ui in zip(hi, lo, u):
+            acc = acc + (a - b) * (0.5 / h) * ui
+        omegas.append(acc * 0.25)
+    return omegas
+
+
+def _nested_curvature(ff, x, h):
+    n = ff.dimension
+    here = _nested_connection(ff, x, h)
+    plus = [_nested_connection(ff, x + step, h) for step in h * np.eye(n)]
+    minus = [_nested_connection(ff, x - step, h) for step in h * np.eye(n)]
+    comps = {}
+    for mu in range(n):
+        for nu in range(mu + 1, n):
+            d_mu_w_nu = (plus[mu][nu] - minus[mu][nu]) * (0.5 / h)
+            d_nu_w_mu = (plus[nu][mu] - minus[nu][mu]) * (0.5 / h)
+            wm, wn = here[mu], here[nu]
+            comps[(mu, nu)] = d_mu_w_nu - d_nu_w_mu - (wm * wn - wn * wm)
+    return comps
+
+
+def test_stencil_sampler_matches_nested_sampler_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    h = 1e-4
+    fields = [(hedgehog_frame_field(2), annulus_grid(0.5, 1.2, radial=3, angular=5), 0.9),
+              (random_rotor_frame_field(3, rng), rng.uniform(-1.0, 1.0, size=(6, 3)), None),
+              (random_rotor_frame_field(4, rng), rng.uniform(-1.0, 1.0, size=(5, 4)), None)]
+    for ff, pts, radius in fields:
+        want = _nested_connection(ff, pts, h)
+        got = pseudo_flat_connection(ff, pts, h).omegas
+        assert all(np.array_equal(g.coeffs, w.coeffs) for g, w in zip(got, want))
+        want_f = _nested_curvature(ff, pts, h)
+        got_f = curvature(lambda y: pseudo_flat_connection(ff, y, h), pts, h).components
+        assert want_f.keys() == got_f.keys()
+        assert all(np.array_equal(got_f[k].coeffs, want_f[k].coeffs) for k in want_f)
+        rep = flatness_scan(ff, grid_points=pts, h=h, loop_radius=radius)
+        assert rep.max_curvature_norm == max(f.norm() for f in want_f.values())
+        assert rep.max_grade2_leakage == max((w - w.grade_project(2)).norm() for w in want)
+
+
+def _count_frames(ff):
+    calls = []
+    frame = ff.frame
+
+    def counted(x):
+        calls.append(np.asarray(x).reshape(-1, ff.dimension).shape[0])
+        return frame(x)
+
+    ff.frame = counted
+    return calls
+
+
+def test_flatness_scan_and_flux_make_one_frame_call():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    ff = random_rotor_frame_field(4, rng)
+    calls = _count_frames(ff)
+    flatness_scan(ff, grid_points=rng.uniform(-1.0, 1.0, size=(20, 4)))
+    # distinct stencil offsets: at most 2N^2 + 4N + 1 = 49 in floating point
+    assert len(calls) == 1 and calls[0] <= 49 * 20
+    hedgehog = hedgehog_frame_field(1)
+    calls = _count_frames(hedgehog)
+    holonomy_flux(hedgehog, (0.0, 0.0), 0.9, segments=64)
+    assert calls == [64 * 5]
+
+
+def test_flatness_scan_needs_loop_radius_around_singular_points():
+    with pytest.raises(ChartError, match="loop_radius"):
+        flatness_scan(hedgehog_frame_field(1), grid_points=annulus_grid(0.5, 1.4, 2, 4))

@@ -7,18 +7,21 @@ RUNS.jsonl holds one line per `chibench/run.py --trace 0` run of that
 checkout, as {"workload": W, "seed": S, "result": <the run's last output
 line>}.  The script adds the `--trace 1` per-layer counts on seed 2027
 and the in-process wall times of the bundled scenarios (median of
-SCENARIO_RUNS, each `run_scenario` then `render_report`), both measured
-here on DIR, and writes the commit DIR holds, machine info, per-workload
-medians and quartiles, counts and scenario times to one JSON file.
+SCENARIO_RUNS, each `run_scenario` then `render_report`) with the sha256
+of each rendered report, both measured here on DIR, and writes the
+commit DIR holds, machine info, per-workload medians and quartiles,
+counts and scenario times and hashes to one JSON file.
 
     python3 tools/bench_record.py --scenarios-only --checkout DIR
 
-prints just the scenario times.
+prints just the scenario times and hashes; two checkouts render
+byte-identical reports when a diff of their hashes is empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -36,19 +39,23 @@ PINNED = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_T
 
 
 def scenario_times() -> dict:
-    """Median ms of SCENARIO_RUNS in-process runs of every bundled scenario."""
+    """Median ms of SCENARIO_RUNS in-process runs of every bundled scenario,
+    and the sha256 of its report, which every run must render alike."""
     from eulerchar.cli import bundled_scenarios, load_scenario, run_scenario
     from eulerchar.report import render_report
 
     out = {}
     for name in bundled_scenarios():
         sc = load_scenario(name)
-        times = []
+        times, digests = [], set()
         for _ in range(SCENARIO_RUNS):
             t0 = time.perf_counter()
-            render_report(run_scenario(sc)[0])
+            text = render_report(run_scenario(sc)[0])
             times.append(1e3 * (time.perf_counter() - t0))
-        out[name] = round(statistics.median(times), 2)
+            digests.add(hashlib.sha256(text.encode()).hexdigest())
+        if len(digests) != 1:
+            raise SystemExit(f"scenario {name!r}: reruns rendered different reports")
+        out[name] = {"ms": round(statistics.median(times), 2), "sha256": digests.pop()}
     return out
 
 
@@ -102,7 +109,7 @@ def record(checkout: Path, commit: str, runs_path: Path) -> dict:
     scen = json.loads(in_checkout(checkout, [__file__, "--scenarios-only",
                                              "--checkout", str(checkout)]))
     return {"commit": commit, "machine": machine(), "workloads": workloads,
-            "scenario_ms_median_of_%d" % SCENARIO_RUNS: scen}
+            "scenarios_median_of_%d" % SCENARIO_RUNS: scen}
 
 
 def main(argv=None) -> int:
