@@ -246,8 +246,9 @@ def _run_flatness(sc, scale, assert_paper):
         )
         loop_radius = float(domain.get("loop_radius", 0.9))
         loop_segments = max(64, int(round(res.get("loop_segments", 512) * scale)))
-    rep = flatness_scan(ff, grid_points=grid, loop_radius=loop_radius,
-                        loop_segments=loop_segments)
+        # a grid or loop off the chart, or on the singular point, is bad input
+        rep = flatness_scan(ff, grid_points=grid, loop_radius=loop_radius,
+                            loop_segments=loop_segments)
     flux = rep.fluxes[0]
     agree = (flux.quantum_rounded == k
              and rep.max_curvature_norm < FLATNESS_TOL)

@@ -258,8 +258,12 @@ def covariant_frame_derivatives(ff: FrameField, omegas, x, h: float = DEFAULT_ST
     G = exp(-h omega_mu) before the central difference, which carries an
     O(h^2) truncation error independent of the one in du_i.
     """
-    u = _frames(ff, _stencil(x, h))
-    n = ff.dimension
+    return _covariant(_frames(ff, _stencil(x, h)), omegas, h)
+
+
+def _covariant(u, omegas, h: float):
+    """Transported central differences D u[mu][i] of stencil-sampled frame vectors."""
+    n = len(u)
     out = []
     for mu in range(n):
         g = exp(omegas[mu] * (-h))
@@ -283,12 +287,12 @@ def decompose_check(ff: FrameField, omegas, x, h: float = DEFAULT_STEP) -> float
         leak = (w - w.grade_project(2)).norm()
         if leak > 1e-12:
             raise CliffordError(f"connection component not grade 2 (leak {leak:.3e})")
-    u = _frames(ff, x)
-    du = frame_derivatives(ff, x, h)
-    cov = covariant_frame_derivatives(ff, omegas, x, h)
+    u = _frames(ff, _stencil(x, h))
+    du, cov = _derivatives(u, h), _covariant(u, omegas, h)
     worst = 0.0
     for mu in range(n):
-        acc = sum(((d - c) * ui for d, c, ui in zip(du[mu], cov[mu], u)), Multivector.zero(n))
+        acc = sum(((d - c) * _at(ui, 0) for d, c, ui in zip(du[mu], cov[mu], u)),
+                  Multivector.zero(n))
         worst = max(worst, (acc * 0.25 - omegas[mu]).norm())
     return worst
 

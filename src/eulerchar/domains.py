@@ -1,4 +1,4 @@
-"""Scan domains for zero finding: balls and boxes in R^N, and a padded pair."""
+"""Scan domains for zero finding: balls and boxes in R^N."""
 
 from __future__ import annotations
 
@@ -83,32 +83,3 @@ class BoxDomain:
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
-
-@dataclass(frozen=True)
-class PaddedDomain:
-    """Zeros kept in `keep`, scanned and isolated in the larger `scan`.
-
-    find_zeros scans and polishes all of `scan` but keeps only the zeros
-    that `keep` contains, so an isolation sphere near the edge of `keep`
-    still sees the zeros just across it.
-    """
-
-    keep: BallDomain | BoxDomain
-    scan: BallDomain | BoxDomain
-
-    @property
-    def dimension(self) -> int:
-        return self.scan.dimension
-
-    @property
-    def diameter(self) -> float:
-        return self.scan.diameter
-
-    def contains(self, x) -> bool:
-        return self.keep.contains(x)
-
-    def boundary_distance(self, x) -> float:
-        return self.scan.boundary_distance(x)
-
-    def bounding_box(self):
-        return self.scan.bounding_box()

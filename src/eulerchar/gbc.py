@@ -296,7 +296,8 @@ def integrate_euler(manifold: CurvedManifold, scale: float = 1.0,
     """chi = integral of the Euler density over the manifold."""
     pts, wts = manifold.quadrature(scale)
     dens = manifold.euler_density(pts)
-    raw = float(np.dot(wts, dens * manifold.sqrt_g(pts)))
+    # np.sum is pairwise on one thread; a BLAS dot splits across threads
+    raw = float(np.sum(wts * (dens * manifold.sqrt_g(pts))))
     rounded = int(round(raw))
     residual = raw - rounded
     if abs(residual) > max_residual:

@@ -2,16 +2,14 @@
 
 Spheres are covered by the two stereographic charts; vector fields
 tangent to the sphere push forward through the conformal chart inverse,
-and their windings are chart-independent.  Each chart keeps the zeros
-with |xi| <= 1 / (1 - SEAM_GUARD), found in a slightly larger scan ball
-so that isolation spheres see across the edge.  The kept regions of the
-two charts overlap around the seam |xi| = 1; a zero seen in both is one
-point of the sphere and counts once, from the chart where it lies
-nearest the origin.  The flat torus works the same way with one tile:
-it keeps [-p/8, 9p/8]^2 of a [-p/4, 5p/4]^2 scan, reduces locations mod
-the periods and counts each zero once, from the sighting nearest the
-tile's center.  Every zero is found by one deterministic scan per chart
-or tile; nothing is retried.
+and their windings are chart-independent.  The flat torus has one tile,
+[-p/4, 5p/4]^2, whose points reduce mod the periods.  The zeros are
+first located in each chart's scan ball |xi| <= 1/0.92 + 0.05, or in the
+tile.  A zero seen twice is one point of the manifold: only its sighting
+nearest a chart origin, or the tile's center, is classified, in its own
+chart, and every zero that chart located bounds its isolation radius.
+Every zero is found by one deterministic scan per chart or tile and
+wound once; nothing is retried.
 
 The total is compared against the alternating face-count sum of a
 reference triangulation.
@@ -23,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import BallDomain, BoxDomain, PaddedDomain
+from .domains import BallDomain, BoxDomain
 from .fields import CallableField, VectorField
 from .report import Record
 from .triangulations import chi_oracle
-from .zeros import DEDUP_SCALE, ZeroRecord, find_zeros
+from .zeros import DEDUP_SCALE, ZeroRecord, classify_zeros, locate_zeros
 
-SEAM_GUARD = 0.08
 SEAM_ATTEMPTS = 1  # scans per chart or tile
 SAMPLE_SEED = 987123  # sample points of the tangency and periodicity checks
 PERIOD_TOL = 1e-9
@@ -60,16 +57,31 @@ class ClosedIndexResult(Record):
     zeros: tuple
 
 
-def _closed_result(sightings, same, oracle: str) -> ClosedIndexResult:
-    """Count each zero once, from its sighting nearest a chart origin.
+def _atlas_index_sum(charts, same, oracle: str, resolution) -> ClosedIndexResult:
+    """Locate the zeros in every chart, then wind each zero once.
 
-    sightings are (distance from the chart origin, ChartZero) pairs;
-    same(a, b) tells whether two ambient points are one zero.
+    charts are (tag, field, domain, center, lift) tuples; lift maps a chart
+    point to the manifold and same(a, b) tells whether two ambient points
+    are one zero.  Of the sightings inside a chart's domain, the one
+    nearest its chart's center is classified, in that chart alone.
     """
+    # sightings are (distance, chart, location, row, ambient point); ties in
+    # distance, as on the seam |xi| = 1, go to the first chart, then the lowest location
+    located, sightings = [], []
+    for k, (_, field, domain, center, lift) in enumerate(charts):
+        located.append(locate_zeros(field, domain, resolution))
+        sightings += [(float(np.linalg.norm(r - center)), k, tuple(r.tolist()), i, lift(r))
+                      for i, r in enumerate(located[k]) if domain.contains(r)]
+    kept = []
+    for s in sorted(sightings, key=lambda s: s[:3]):
+        if not any(same(s[4], q[4]) for q in kept):
+            kept.append(s)
     zeros = []
-    for _, z in sorted(sightings, key=lambda s: s[0]):
-        if not any(same(z.ambient, q.ambient) for q in zeros):
-            zeros.append(z)
+    for k, (tag, field, domain, _, lift) in enumerate(charts):
+        roots = located[k][[s[3] for s in kept if s[1] == k]]
+        zeros += [ChartZero(**vars(z), ambient=tuple(lift(np.asarray(z.location)).tolist()),
+                            chart=tag, chart_location=z.location)
+                  for z in classify_zeros(field, roots, located[k], domain)]
     zeros.sort(key=lambda z: z.ambient)
     total = int(sum(z.winding for z in zeros))
     chi = chi_oracle(oracle)
@@ -165,22 +177,17 @@ class SphereManifold:
             raise ManifoldError(
                 f"field is not tangent to the sphere (residual {tang:.3e})"
             )
-        res = resolution or CHART_RESOLUTION[self.chart_dim]
-        origin = (0.0,) * self.chart_dim
-        keep = 1.0 / (1.0 - SEAM_GUARD)
-        chart = PaddedDomain(BallDomain(origin, keep), BallDomain(origin, keep + 0.05))
-        sightings = []
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            for z in find_zeros(self.pushforward(field, sign), chart, resolution=res):
-                ambient = self.chart_point(np.asarray(z.location), sign)[0]
-                sightings.append((float(np.linalg.norm(z.location)), ChartZero(
-                    **vars(z), ambient=tuple(ambient.tolist()),
-                    chart=tag, chart_location=z.location)))
+        origin = np.zeros(self.chart_dim)
+        scan = BallDomain(origin, 1.0 / 0.92 + 0.05)
+        charts = [(tag, self.pushforward(field, sign), scan, origin,
+                   lambda xi, sign=sign: self.chart_point(xi, sign)[0])
+                  for sign, tag in ((1.0, "+"), (-1.0, "-"))]
 
         def same(a, b):
             return np.linalg.norm(np.subtract(a, b)) < DEDUP_SCALE * self.radius
 
-        return _closed_result(sightings, same, "S2" if self.chart_dim == 2 else "S3")
+        return _atlas_index_sum(charts, same, "S2" if self.chart_dim == 2 else "S3",
+                                resolution or CHART_RESOLUTION[self.chart_dim])
 
 
 class FlatTorus:
@@ -210,16 +217,11 @@ class FlatTorus:
         if perr > PERIOD_TOL:
             raise ManifoldError(f"field is not periodic (residual {perr:.3e})")
         p = np.asarray(self.periods)
-        tile = PaddedDomain(BoxDomain(-p / 8, 9 * p / 8), BoxDomain(-p / 4, 5 * p / 4))
-        sightings = []
-        for z in find_zeros(field, tile, resolution=resolution):
-            loc = np.asarray(z.location)
-            sightings.append((float(np.linalg.norm(loc - p / 2)), ChartZero(
-                **vars(z), ambient=tuple(np.mod(loc, p).tolist()),
-                chart="tile", chart_location=z.location)))
+        tile = BoxDomain(-p / 4, 5 * p / 4)
+        charts = [("tile", field, tile, p / 2, lambda x: np.mod(x, p))]
 
         def same(a, b):
             d = np.subtract(a, b)
             return np.linalg.norm(d - p * np.round(d / p)) < DEDUP_SCALE * p.min()
 
-        return _closed_result(sightings, same, "T2")
+        return _atlas_index_sum(charts, same, "T2", resolution)

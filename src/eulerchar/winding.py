@@ -151,15 +151,14 @@ class SphereQuadrature:
             raise WindingError(
                 f"dimension {dimension} needs {dimension - 1} node counts"
             )
+        # an unallocatable rule fails here, before any per-axis rule is built
+        nodes = np.empty((math.prod(counts), dimension))
         rules = []
         for k, cnt in enumerate(polar_counts):
             th, w = polar_rule(cnt)
             rules.append((th, w * np.sin(th) ** (dimension - 2 - k)))
         angles, weights = tensor_rule(rules + [azimuth_rule(azim)])
-
-        m = weights.size
-        nodes = np.empty((m, dimension))
-        sin_running = np.ones(m)
+        sin_running = np.ones(len(weights))
         for k, ang in enumerate(angles.T):
             nodes[:, k] = sin_running * np.cos(ang)
             sin_running = sin_running * np.sin(ang)

@@ -1,17 +1,20 @@
 """Locating vector field zeros and certifying their indices.
 
-A coarse grid scan proposes cells where every field component changes
-sign (plus the lowest-magnitude cells as extra seeds), damped Newton
-polishes all candidates together, one batch of field calls per step,
-and duplicates are merged.  Each surviving zero gets a winding number
-from a quadrature sphere at its isolation radius; for regular zeros
-this must match the Jacobian determinant sign, and for degenerate
-zeros the winding itself is the index.
+locate_zeros scans a coarse grid for cells where every field component
+changes sign (plus the lowest-magnitude cells as extra seeds), damped
+Newton polishes all candidates together, one batch of field calls per
+step, and duplicates are merged.  classify_zeros gives each zero it is
+handed a winding number from a quadrature sphere at its isolation
+radius, which every other located zero bounds; for regular zeros this
+must match the Jacobian determinant sign, and for degenerate zeros the
+winding itself is the index.  find_zeros runs both on the zeros inside
+one domain; the chart atlases of manifolds deduplicate in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -116,33 +119,22 @@ def _distinct(points, found, tol: float) -> np.ndarray:
     return found
 
 
-def _candidate_cells(vals_grid, counts):
+def _candidate_cells(vals_grid, res: int):
     """Cells where every component spans zero; indices into the grid."""
-    n = len(counts)
-    comp = vals_grid  # shape counts+1 each axis, then component axis
-    ok = None
-    corner_offsets = list(np.ndindex(*(2,) * n))
-    for c in range(comp.shape[-1]):
-        v = comp[..., c]
-        cmin = None
-        cmax = None
-        for off in corner_offsets:
-            sl = tuple(slice(o, o + cnt) for o, cnt in zip(off, counts))
-            block = v[sl]
-            cmin = block if cmin is None else np.minimum(cmin, block)
-            cmax = block if cmax is None else np.maximum(cmax, block)
-        this = (cmin <= 0.0) & (cmax >= 0.0)
-        ok = this if ok is None else (ok & this)
+    n = vals_grid.shape[-1]
+    corners = [tuple(slice(o, o + res) for o in off) for off in np.ndindex(*(2,) * n)]
+    ok = True
+    for c in range(n):
+        blocks = [vals_grid[sl + (c,)] for sl in corners]
+        ok = ok & (reduce(np.minimum, blocks) <= 0.0) & (reduce(np.maximum, blocks) >= 0.0)
     return np.argwhere(ok)
 
 
-def find_zeros(field: VectorField, domain, resolution: int | None = None,
-               quadrature: SphereQuadrature | None = None) -> list:
-    """All isolated zeros of the field inside the domain, with indices.
+def locate_zeros(field: VectorField, domain, resolution: int | None = None) -> np.ndarray:
+    """Every distinct zero Newton reaches from a grid scan of domain.bounding_box().
 
-    The grid scan and Newton cover domain.bounding_box(); only the zeros
-    domain.contains accepts are classified, but every distinct zero found
-    bounds their isolation radii.
+    One row per zero, in seed order; roots within DEDUP_SCALE * diameter
+    of an earlier one are dropped.
     """
     n = field.dimension
     if domain.dimension != n:
@@ -159,26 +151,27 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
     vals = field.evaluate_many(pts)
     vals_grid = vals.reshape(*(res + 1,) * n, n)
 
-    counts = (res,) * n
-    cells = _candidate_cells(vals_grid, counts)
+    cells = _candidate_cells(vals_grid, res)
     widths = (hi - lo) / res
 
     # seeds: candidate cell centers, then the lowest-|phi| vertices
     norms = np.linalg.norm(vals, axis=1)
     seeds = np.concatenate([lo + (cells + 0.5) * widths,
                             pts[np.argsort(norms)[:EXTRA_SEEDS]]])
-
-    scale = domain.diameter
-    floor = ISOLATION_FLOOR_SCALE * scale
     x, ok = _newton(field, seeds)
-    x = x[ok]
-    inside = np.array([domain.contains(r) for r in x], dtype=bool)
-    roots = _distinct(x[inside], x[:0], DEDUP_SCALE * scale)
-    found = _distinct(x[~inside], roots, DEDUP_SCALE * scale)
+    return _distinct(x[ok], x[:0], DEDUP_SCALE * domain.diameter)
 
+
+def classify_zeros(field: VectorField, roots, found, domain,
+                   quadrature: SphereQuadrature | None = None) -> list:
+    """ZeroRecords of roots, rows of found inside domain, sorted by location.
+
+    Each isolation radius is half the distance to the domain boundary or
+    to the nearest other row of found, whichever is less.
+    """
     if not len(roots):
         return []
-
+    floor = ISOLATION_FLOOR_SCALE * domain.diameter
     for r in roots:
         if domain.boundary_distance(r) < floor:
             raise BoundaryZoneError(
@@ -188,11 +181,10 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
     dets = np.linalg.det(field.jacobian_many(roots))
     field_norms = _norms(field.evaluate_many(roots))
     records = []
-    quad = quadrature or default_quadrature(n)
+    quad = quadrature or default_quadrature(field.dimension)
     for i, r in enumerate(roots):
         gaps = _norms(found - r)
-        gaps[i] = np.inf
-        rad = 0.5 * min(domain.boundary_distance(r), gaps.min())
+        rad = 0.5 * min(domain.boundary_distance(r), gaps[gaps > 0].min(initial=np.inf))
         if rad < floor:
             raise ZeroFindingError(
                 f"zeros too close together near {r.tolist()} (radius {rad:.2e})"
@@ -225,6 +217,14 @@ def find_zeros(field: VectorField, domain, resolution: int | None = None,
         ))
     records.sort(key=lambda z: z.location)
     return records
+
+
+def find_zeros(field: VectorField, domain, resolution: int | None = None,
+               quadrature: SphereQuadrature | None = None) -> list:
+    """All isolated zeros of the field inside the domain, with indices."""
+    found = locate_zeros(field, domain, resolution)
+    inside = [domain.contains(r) for r in found]
+    return classify_zeros(field, found[inside], found, domain, quadrature)
 
 
 def total_index(records) -> int:

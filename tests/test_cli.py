@@ -188,6 +188,20 @@ def test_run_scenario_programmatic():
 
 
 _DISK = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("annulus", [
+    {"r_outer": 2.0},       # the grid leaves the [-1.5, 1.5]^2 chart
+    {"loop_radius": 1e-9},  # the flux loop sits on the singular point
+], ids=["r-outer-off-chart", "loop-on-singular-point"])
+def test_flatness_scan_bad_geometry_one_error_line(tmp_path, capsys, annulus):
+    sc = load_scenario("annulus-hedgehog")
+    sc["domain"].update(annulus)
+    assert main(["run", write_scenario(tmp_path, sc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: scenario 'annulus-hedgehog': ")
 _ROTATION = {"kind": "builtin", "name": "rotation", "dimension": 2}
 
 
@@ -220,13 +234,13 @@ def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):
     import eulerchar.manifolds as manifolds
 
     seen = []
-    real = manifolds.find_zeros
+    real = manifolds.locate_zeros
 
     def spy(field, domain, resolution=None, **kw):
         seen.append(resolution)
         return real(field, domain, resolution=resolution, **kw)
 
-    monkeypatch.setattr(manifolds, "find_zeros", spy)
+    monkeypatch.setattr(manifolds, "locate_zeros", spy)
     assert main(["run", "s2-rotation", "--resolution-scale", "1.01"]) == 0
     assert seen and set(seen) == {24}
 
@@ -280,3 +294,12 @@ def test_unallocatable_resolution_scale_exits_1(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: scenario 'ball4-rotation': out of memory ")
     assert "too large to index" in lines[0]
+    # the index sum builds its 4-D winding rule first: its node array fails
+    # at once, before any Gauss-Legendre rule of 48,000 nodes is computed
+    assert main(["run", "ball4-quaternion-square", "--resolution-scale", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: scenario 'ball4-quaternion-square': out of memory ")
+    assert "Unable to allocate" in lines[0]

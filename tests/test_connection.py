@@ -307,6 +307,25 @@ def test_flatness_scan_and_flux_make_one_frame_call():
     assert calls == [64 * 5]
 
 
+def test_decompose_check_makes_one_frame_call():
+    from eulerchar.connection import _frames
+
+    rng = np.random.default_rng(RNG_SEED + 9)
+    ff = random_rotor_frame_field(3, rng)
+    x = rng.uniform(-0.8, 0.8, size=3)
+    omegas = random_connection(3, rng)(x)
+    h = 1e-3
+    # three samples: x alone, then the stencil for each derivative
+    u = _frames(ff, x)
+    du = frame_derivatives(ff, x, h)
+    cov = covariant_frame_derivatives(ff, omegas, x, h)
+    want = max((sum(((d - c) * ui for d, c, ui in zip(du[mu], cov[mu], u)),
+                    Multivector.zero(3)) * 0.25 - omegas[mu]).norm() for mu in range(3))
+    calls = _count_frames(ff)
+    assert decompose_check(ff, omegas, x, h) == want
+    assert len(calls) == 1
+
+
 def test_flatness_scan_needs_loop_radius_around_singular_points():
     with pytest.raises(ChartError, match="loop_radius"):
         flatness_scan(hedgehog_frame_field(1), grid_points=annulus_grid(0.5, 1.4, 2, 4))

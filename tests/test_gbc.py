@@ -1,10 +1,15 @@
 """Curvature-integral route to chi: pfaffians, densities, quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eulerchar
 from eulerchar.gbc import (
     EmbeddedTorus,
     FlatTorusMetric,
@@ -185,3 +190,20 @@ def test_frame_contraction_batch_matches_per_tensor():
         assert np.array_equal(got, [frame_contraction(f) for f in fs])
         assert np.array_equal(frame_contraction(fs.reshape(2, 3, *fs.shape[1:])),
                               got.reshape(2, 3))
+
+
+def test_s4_gbc_report_is_independent_of_blas_threads():
+    # a BLAS dot product splits a long sum across threads and rounds it
+    # differently on each count; the quadrature sum must not
+    code = ("import sys\n"
+            "from eulerchar.cli import load_scenario, run_scenario\n"
+            "from eulerchar.report import render_report\n"
+            "sys.stdout.write(render_report(run_scenario(load_scenario('s4-gbc'))[0]))\n")
+    src = str(Path(eulerchar.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        reports.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      stdout=subprocess.PIPE).stdout)
+    assert reports[0] and reports[0] == reports[1]

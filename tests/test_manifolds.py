@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerchar import zeros
 from eulerchar.fields import (
     CallableField,
     constant_field,
@@ -164,6 +165,31 @@ def test_torus_sines_field():
     result = FlatTorus().index_sum(torus_sines_field())
     assert_torus_zeros(result, (1.0, 1.0), (0.0, 0.0))
     assert result.attempts == 1 and result.flags == ()
+
+
+def _x_rotation():
+    return CallableField(3, lambda pts: np.cross([1.0, 0.0, 0.0], pts),
+                         name="x-rotation", batch=True)
+
+
+@pytest.mark.parametrize("manifold,field,count", [
+    (FlatTorus(), torus_sines_field(), 4),
+    (SphereManifold(), _x_rotation(), 2),
+], ids=["torus-sines", "s2-rotation-about-e_x"])
+def test_each_zero_is_wound_once(monkeypatch, manifold, field, count):
+    # torus-sines has 9 sightings of its 4 zeros in the tile, and the
+    # rotation about e_x sees both its zeros in both charts, on |xi| = 1
+    centers = []
+    real = zeros.winding_number
+
+    def spy(f, center, *args, **kw):
+        centers.append(tuple(np.asarray(center).tolist()))
+        return real(f, center, *args, **kw)
+
+    monkeypatch.setattr(zeros, "winding_number", spy)
+    result = manifold.index_sum(field)
+    assert len(centers) == count == len(result.zeros)
+    assert sorted(centers) == sorted(z.chart_location for z in result.zeros)
 
 
 def test_torus_zeros_near_every_tile_edge():

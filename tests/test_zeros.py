@@ -4,9 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerchar import zeros
-from eulerchar.domains import BallDomain, BoxDomain, PaddedDomain
+from eulerchar.domains import BallDomain, BoxDomain
 from eulerchar.fields import (
     ComplexProductField,
     VectorField,
@@ -23,8 +25,10 @@ from eulerchar.manifolds import CHART_RESOLUTION, SphereManifold
 from eulerchar.zeros import (
     BoundaryZoneError,
     ZeroFindingError,
+    classify_zeros,
     find_zeros,
     index_sum_with_excision,
+    locate_zeros,
     total_index,
 )
 
@@ -123,11 +127,12 @@ def test_isolation_radii_disjoint():
 
 
 def test_zero_outside_keep_bounds_the_isolation_radius():
-    # 0.3 lies in the scan ball but outside the kept one: it is not
-    # classified, yet the kept zero's winding sphere must not reach it
+    # 0.3 is located but not kept: it is not classified, yet the kept
+    # zero's winding sphere must not reach it
     f = ComplexProductField(roots=[0.0, 0.3])
-    padded = PaddedDomain(BallDomain((0.0, 0.0), 0.2), BallDomain((0.0, 0.0), 1.0))
-    zs = find_zeros(f, padded)
+    ball = BallDomain((0.0, 0.0), 1.0)
+    found = locate_zeros(f, ball)
+    zs = classify_zeros(f, found[np.linalg.norm(found, axis=1) <= 0.2], found, ball)
     assert len(zs) == 1 and np.allclose(zs[0].location, 0.0, atol=1e-12)
     assert zs[0].isolation_radius == pytest.approx(0.15, abs=1e-12)
     assert zs[0].winding == 1
@@ -175,6 +180,28 @@ def test_excision_agrees_for_rotated_linear_fields():
         res = index_sum_with_excision(linear_field(q), ball)
         assert res.agree and res.oracle_agree
         assert res.zero_sum == (1 if np.linalg.det(q) > 0 else -1)
+
+
+# lattice sites 0.35 apart with |z| <= 0.7; a jitter of at most 0.05 per axis
+# keeps any two roots 0.2 apart and every root 0.22 inside the unit circle
+_SITES = [complex(a, b) for a in np.arange(-0.7, 0.71, 0.35)
+          for b in np.arange(-0.7, 0.71, 0.35) if abs(complex(a, b)) <= 0.75]
+_JITTER = st.floats(-0.05, 0.05)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(picks=st.lists(st.tuples(st.sampled_from(range(len(_SITES))), st.booleans(),
+                                _JITTER, _JITTER),
+                      min_size=1, max_size=6, unique_by=lambda t: t[0]))
+def test_complex_product_excision_property(picks):
+    # each root a_i has index +1 and each conjugate root b_j index -1
+    sites = [(_SITES[k] + complex(dx, dy), conj) for k, conj, dx, dy in picks]
+    f = ComplexProductField(roots=[z for z, conj in sites if not conj],
+                            conj_roots=[z for z, conj in sites if conj])
+    result = index_sum_with_excision(f, BallDomain((0.0, 0.0), 1.0))
+    assert len(result.zeros) == len(sites)
+    assert result.zero_sum == len(f.roots) - len(f.conj_roots)
+    assert result.agree and result.oracle_agree
 
 
 def _newton_one_seed(field, start):
