@@ -13,9 +13,31 @@ any oriented orthonormal tangent frame (t_j): since [s | T] is orthonormal
 with det +1, det[v | T] = s . v, so det[phi | J T] = det J det[J^-1 phi | T]
 = s . adj(J) phi.  Both sides are polynomials in J, so the identity also
 holds where J is singular.  Only the node s enters, and no tangent frame
-is built or stored.  The sum over nodes runs one fixed-size block at a
+is built or stored.  Field calls run one fixed-size block of nodes at a
 time, in a fixed order, so memory stays bounded and reruns are
 byte-identical.
+
+The integral climbs a ladder of rules: it starts at _LADDER_START
+nodes per axis and doubles every count at each step up to the top rule,
+the one the caller passes or the default.  Below the top it stops as
+soon as two consecutive levels agree to AGREE_TOL at a value within
+MAX_RESIDUAL of an integer; levels that agree off an integer mean a zero
+on or near the sphere, so the climb goes on.  At the top the result
+stands if it lies within MAX_RESIDUAL of an integer and the level below
+agrees with it to within MAX_RESIDUAL; otherwise, and on a rule with no
+level below it, UndersampledError.  The gap between the last two levels
+is the result's error estimate: for these analytic, periodic integrands
+the error falls geometrically with the node count (Trefethen &
+Weideman, SIAM Rev. 56, 2014), so it bounds the error of the finer
+level.  In the plane a doubled trapezoid rule's even nodes are the level
+below, so a level reuses the field values of the one below and the
+first two come from one field call.
+
+A constant matrix P leaves the degree as sign det P times deg phi, so
+winding_number can integrate psi = P phi instead.  With P = J(z)^-1 at
+a regular zero z, psi is close to x - z, whose density is nearly
+constant, and a few hundred nodes resolve it whatever the conditioning
+of J(z).
 
 Two independent cross-checks live here as well: a 1-D angle-summation
 degree for planar fields, and a generic preimage-counting degree that
@@ -38,9 +60,12 @@ from .triangulations import cross_polytope_facets
 
 MIN_FIELD_NORM = 1e-8
 MAX_RESIDUAL = 0.1
+AGREE_TOL = 1e-5  # levels below the top that agree this closely end the climb
 BLOCK = 8192  # nodes per field call in winding_number
 
-_DEFAULT_NODES = {2: (512,), 3: (48, 96), 4: (48, 48, 96)}
+# R^3 rules serve the S^3 boundary charts, whose windings need 96 x 192 nodes
+_DEFAULT_NODES = {2: (512,), 3: (96, 192), 4: (48, 48, 96)}
+_LADDER_START = {2: (64,), 3: (6, 12), 4: (6, 6, 12)}
 _DEFAULT_MESH_LEVEL = {2: 6, 3: 4, 4: 3}
 _RETRY_SEED = 20240229
 
@@ -151,8 +176,13 @@ class SphereQuadrature:
             raise WindingError(
                 f"dimension {dimension} needs {dimension - 1} node counts"
             )
+        size = math.prod(counts)
+        # numpy cannot even index a node array this large: fail before any allocation
+        if size * dimension * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"a sphere rule of {size} nodes in R^{dimension} is too "
+                              f"large to index")
         # an unallocatable rule fails here, before any per-axis rule is built
-        nodes = np.empty((math.prod(counts), dimension))
+        nodes = np.empty((size, dimension))
         rules = []
         for k, cnt in enumerate(polar_counts):
             th, w = polar_rule(cnt)
@@ -180,60 +210,131 @@ def default_quadrature(dimension: int, scale: float = 1.0) -> SphereQuadrature:
     return SphereQuadrature.build(dimension, scale=scale)
 
 
+@lru_cache(maxsize=32)
+def _rule(dimension: int, counts: tuple) -> SphereQuadrature:
+    return SphereQuadrature.build(dimension, counts=counts)
+
+
+@lru_cache(maxsize=32)
+def ladder(dimension: int, top: tuple) -> tuple:
+    """Node counts of the rules below the top rule's counts, coarsest first.
+
+    Level k has min(start * 2^k, top) nodes per axis.  start is
+    _LADDER_START, or half the top count where that is less, so a coarse
+    top rule still gets a level below it; a level equal to the one
+    before, or to the top, is left out.
+    """
+    start = [max(1, min(s, t // 2)) for s, t in zip(_LADDER_START[dimension], top)]
+    levels, k = [], 0
+    while True:
+        counts = tuple(min(s << k, t) for s, t in zip(start, top))
+        if counts == top:
+            return tuple(levels)
+        if not levels or counts != levels[-1]:
+            levels.append(counts)
+        k += 1
+
+
 @dataclass(frozen=True)
 class WindingResult:
     raw: float
     rounded: int
     residual: float
+    error: float     # gap between the last two ladder levels
     center: tuple
     radius: float
 
     @staticmethod
-    def from_raw(raw: float, center, radius) -> "WindingResult":
+    def from_raw(raw: float, center, radius, error: float) -> "WindingResult":
         rounded = int(round(raw))
         return WindingResult(
             raw=float(raw),
             rounded=rounded,
             residual=float(raw - rounded),
+            error=float(error),
             center=tuple(np.asarray(center, dtype=float).tolist()),
             radius=float(radius),
         )
 
 
 def winding_number(field: VectorField, center, radius: float,
-                   quadrature: SphereQuadrature | None = None) -> WindingResult:
-    """Degree of phi/|phi| over the sphere |x - center| = radius."""
+                   quadrature: SphereQuadrature | None = None,
+                   precondition=None) -> WindingResult:
+    """Degree of phi/|phi| over the sphere |x - center| = radius.
+
+    quadrature is the top of the ladder (default: the dimension's default
+    rule).  With precondition P (an invertible N x N matrix) the degree
+    is that of psi = P phi, whose Jacobian is P J_phi; the zero-on-sphere
+    check still reads |phi|.
+    """
     center = np.asarray(center, dtype=float)
     n = field.dimension
     if center.shape != (n,):
         raise WindingError(f"center must have {n} components")
     if radius <= 0.0:
         raise WindingError("radius must be positive")
-    quad = quadrature or default_quadrature(n)
-    if quad.dimension != n:
+    if quadrature is not None and quadrature.dimension != n:
         raise WindingError("quadrature dimension mismatch")
+    top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[n]
+    counts = ladder(n, top) + (top,)
+    # the top rule is built only if the ladder reaches it
+    rule = lambda k: (_rule(n, counts[k]) if k + 1 < len(counts)
+                      else quadrature or default_quadrature(n))
+    # in the plane a doubled trapezoid rule's even nodes are the level below
+    nests = lambda k: n == 2 and counts[k][0] == 2 * counts[k - 1][0]
 
-    total = 0.0
-    for lo in range(0, quad.size, BLOCK):
-        s = quad.nodes[lo:lo + BLOCK]
-        pts = center[None, :] + radius * s
-        phi = field.evaluate_many(pts)
-        norms = np.linalg.norm(phi, axis=1)
-        k = int(np.argmin(norms))
-        if norms[k] <= MIN_FIELD_NORM:
-            raise ZeroOnSphereError(
-                f"field magnitude {norms[k]:.3e} on sphere at {pts[k].tolist()}"
-            )
-        density = _degree_density(s, phi, field.jacobian_many(pts)) / norms ** n
-        total += float(np.dot(quad.weights[lo:lo + BLOCK], density))
-    raw = radius ** (n - 1) * total / sphere_area(n)
-    result = WindingResult.from_raw(raw, center, radius)
-    if abs(result.residual) > MAX_RESIDUAL:
+    def densities(nodes):
+        out = np.empty(len(nodes))
+        for lo in range(0, len(nodes), BLOCK):
+            s = nodes[lo:lo + BLOCK]
+            pts = center[None, :] + radius * s
+            phi = field.evaluate_many(pts)
+            norms = np.linalg.norm(phi, axis=1)
+            k = int(np.argmin(norms))
+            if norms[k] <= MIN_FIELD_NORM:
+                raise ZeroOnSphereError(
+                    f"field magnitude {norms[k]:.3e} on sphere at {pts[k].tolist()}"
+                )
+            jac = field.jacobian_many(pts)
+            if precondition is not None:
+                phi, jac = phi @ precondition.T, precondition @ jac
+                norms = np.linalg.norm(phi, axis=1)
+            out[lo:lo + BLOCK] = _degree_density(s, phi, jac) / norms ** n
+        return out
+
+    scale = radius ** (n - 1) / sphere_area(n)
+    # np.sum is pairwise on one thread; a BLAS dot splits across threads
+    value = lambda quad, dens: scale * float(np.sum(quad.weights * dens))
+    first = 1 if len(counts) > 1 and nests(1) else 0  # one field call for both
+    values, dens = [], None
+    for k in range(first, len(counts)):
+        quad = rule(k)
+        if dens is not None and nests(k):
+            fine = np.empty(quad.size)
+            fine[::2], fine[1::2] = dens, densities(quad.nodes[1::2])
+            dens = fine
+        else:
+            dens = densities(quad.nodes)
+        if not values and k:
+            values.append(value(rule(k - 1), dens[::2]))
+        values.append(value(quad, dens))
+        if len(values) > 1:
+            gap, off = abs(values[-1] - values[-2]), values[-1] - round(values[-1])
+            # below the top, levels agreeing off an integer mean a zero on or near
+            # the sphere: climb on
+            if abs(off) <= MAX_RESIDUAL and gap <= (AGREE_TOL if k + 1 < len(counts)
+                                                    else MAX_RESIDUAL):
+                return WindingResult.from_raw(values[-1], center, radius, gap)
+    if len(values) < 2:
         raise UndersampledError(
-            f"winding {raw:.6f} is {result.residual:+.3f} from an integer; "
-            "refine the quadrature or shrink the sphere"
+            f"winding not certified: the rule of {math.prod(top)} nodes has no level "
+            "below it; refine the quadrature"
         )
-    return result
+    raise UndersampledError(
+        f"winding {values[-1]:.6f} is {off:+.3f} from an integer and {gap:.1e} from "
+        f"the level below the top rule of {math.prod(top)} nodes; refine the "
+        "quadrature or shrink the sphere"
+    )
 
 
 def oracle_degree_anglesum(field: VectorField, center, radius: float,

@@ -5,10 +5,15 @@ changes sign (plus the lowest-magnitude cells as extra seeds), damped
 Newton polishes all candidates together, one batch of field calls per
 step, and duplicates are merged.  classify_zeros gives each zero it is
 handed a winding number from a quadrature sphere at its isolation
-radius, which every other located zero bounds; for regular zeros this
-must match the Jacobian determinant sign, and for degenerate zeros the
-winding itself is the index.  find_zeros runs both on the zeros inside
-one domain; the chart atlases of manifolds deduplicate in between.
+radius, which every other located zero bounds.  A regular zero z is
+wound with the preconditioned field psi = J(z)^-1 phi, which is close to
+x - z, so its index is sign det J(z) times deg psi, and deg psi must
+round to +1.  A degenerate zero is wound with phi itself, and that
+winding is its index.  find_zeros runs both on the zeros inside one
+domain; the chart atlases of manifolds deduplicate in between.  The
+enclosing sphere of index_sum_with_excision and its preimage oracle
+read phi itself, so they check the preconditioned windings
+independently.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .fields import VectorField
 from .report import Record
 from .winding import (
     SphereQuadrature,
-    default_quadrature,
     oracle_degree_preimage,
     winding_number,
 )
@@ -59,6 +63,7 @@ class ZeroRecord(Record):
     field_norm: float
     winding_raw: float
     winding_residual: float
+    winding_error: float  # gap between the last two quadrature levels
     isolation_radius: float
 
 
@@ -69,13 +74,24 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _solve(jac: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """Newton steps J^-1 f per row; least squares where J is singular."""
+    """Newton steps J^-1 f per row; least squares where J is singular.
+
+    Each row gets the bits a solve of that row alone gives: LAPACK solves
+    the matrices of a batch one by one.
+    """
     try:
         return np.linalg.solve(jac, fx[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if len(fx) > 1:  # some row is singular: solve row by row
-            return np.concatenate([_solve(j[None], f[None]) for j, f in zip(jac, fx)])
-        return np.linalg.lstsq(jac[0], fx[0], rcond=None)[0][None]
+        if len(fx) == 1:
+            return np.linalg.lstsq(jac[0], fx[0], rcond=None)[0][None]
+    # some row has an exact zero pivot, which makes its det 0: batch the others
+    singular = np.linalg.det(jac) == 0.0
+    if singular.all() or not singular.any():  # no split to make: row by row
+        return np.concatenate([_solve(j[None], f[None]) for j, f in zip(jac, fx)])
+    step = np.empty_like(fx)
+    for rows in (singular, ~singular):
+        step[rows] = _solve(jac[rows], fx[rows])
+    return step
 
 
 def _newton(field: VectorField, seeds: np.ndarray):
@@ -178,10 +194,10 @@ def classify_zeros(field: VectorField, roots, found, domain,
                 f"zero at {r.tolist()} within {floor:.2e} of the domain boundary"
             )
 
-    dets = np.linalg.det(field.jacobian_many(roots))
+    jacs = field.jacobian_many(roots)
+    dets = np.linalg.det(jacs)
     field_norms = _norms(field.evaluate_many(roots))
     records = []
-    quad = quadrature or default_quadrature(field.dimension)
     for i, r in enumerate(roots):
         gaps = _norms(found - r)
         rad = 0.5 * min(domain.boundary_distance(r), gaps[gaps > 0].min(initial=np.inf))
@@ -190,18 +206,21 @@ def classify_zeros(field: VectorField, roots, found, domain,
                 f"zeros too close together near {r.tolist()} (radius {rad:.2e})"
             )
         rad = min(rad, 1.0)
-        wres = winding_number(field, r, rad, quad)
         det = float(dets[i])
         regular = abs(det) > REGULAR_DET_TOL
-        w = wres.rounded
-        if regular:
-            eta = 1 if det > 0 else -1
-            if w != eta:
+        if regular:  # index = sign det J * deg(J^-1 phi), and deg(J^-1 phi) = +1
+            sign = eta = 1 if det > 0 else -1
+            wres = winding_number(field, r, rad, quadrature,
+                                  precondition=np.linalg.inv(jacs[i]))
+            if wres.rounded != 1:
                 raise ZeroFindingError(
-                    f"winding {w} contradicts Jacobian sign {eta} at {r.tolist()}"
+                    f"preconditioned winding {wres.rounded} is not +1 at the regular "
+                    f"zero {r.tolist()}"
                 )
         else:
-            eta = 0 if w == 0 else (1 if w > 0 else -1)
+            wres = winding_number(field, r, rad, quadrature)
+            sign, eta = 1, int(np.sign(wres.rounded))
+        w, raw = sign * wres.rounded, sign * wres.raw
         records.append(ZeroRecord(
             location=tuple(r.tolist()),
             field_norm=float(field_norms[i]),
@@ -210,8 +229,9 @@ def classify_zeros(field: VectorField, roots, found, domain,
             eta=int(eta),
             beta=abs(w),
             winding=int(w),
-            winding_raw=wres.raw,
-            winding_residual=wres.residual,
+            winding_raw=raw,
+            winding_residual=raw - w,
+            winding_error=wres.error,
             isolation_radius=float(rad),
             degenerate=not regular,
         ))
@@ -256,8 +276,7 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
     """
     records = find_zeros(field, ball, resolution=resolution, quadrature=quadrature)
     zero_sum = total_index(records)
-    big = winding_number(field, ball.center, ball.radius,
-                         quadrature or default_quadrature(field.dimension))
+    big = winding_number(field, ball.center, ball.radius, quadrature)
     deg = oracle_degree_preimage(field, ball.center, ball.radius)
     return ExcisionResult(
         zero_sum=zero_sum,

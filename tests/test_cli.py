@@ -246,8 +246,8 @@ def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):
 
 
 def _cond60_linear_spec():
-    # A = U diag(3, 1.5, 1, 0.05) V^T: the 4-D winding rule cannot certify
-    # the zero of A(x - c), so the run ends in UndersampledError
+    # A = U diag(3, 1.5, 1, 0.05) V^T: the plain field's normalized image
+    # crowds near the weak direction, but J^-1 phi = x - c winds trivially
     rng = np.random.default_rng(20240601)
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -259,15 +259,30 @@ def _cond60_linear_spec():
     return {"kind": "polynomial", "dimension": 4, "components": comps}
 
 
-@pytest.mark.parametrize("domain,field,error", [
-    ({"kind": "ball", "center": [0.0] * 4, "radius": 1.2}, _cond60_linear_spec(),
-     "UndersampledError"),
-    (_DISK, {"kind": "complex-product", "roots": [[1.0, 0.0]]}, "BoundaryError"),
-], ids=["cond-60-ball4", "zero-on-the-circle"])
-def test_uncertified_result_exits_3(tmp_path, capsys, domain, field, error):
+def test_ill_conditioned_linear_zero_certifies(tmp_path, capsys):
     path = write_scenario(tmp_path, {
-        "schema": 1, "name": "uncertified", "methods": ["boundary-theorem"],
-        "domain": domain, "field": field,
+        "schema": 1, "name": "cond-60", "methods": ["boundary-theorem"],
+        "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.2},
+        "field": _cond60_linear_spec(),
+    })
+    assert main(["run", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["methods"]["boundary-theorem"]
+    assert payload["chi_morse"] == 1
+    assert [z["winding"] for z in payload["zeros"]] == [1]
+    assert payload["zeros"][0]["winding_error"] <= 1e-5
+
+
+@pytest.mark.parametrize("methods,field,resolutions,error", [
+    # three zeros hug the circle, and scale 1/64 caps the ladder at 8 nodes
+    (["index-sum"], {"kind": "complex-product", "roots": [[0.9, 0.0], [-0.9, 0.0], [0.0, 0.85]]},
+     {"scale": 1.0 / 64.0}, "UndersampledError"),
+    (["boundary-theorem"], {"kind": "complex-product", "roots": [[1.0, 0.0]]}, {},
+     "BoundaryError"),
+], ids=["capped-ladder-disk", "zero-on-the-circle"])
+def test_uncertified_result_exits_3(tmp_path, capsys, methods, field, resolutions, error):
+    path = write_scenario(tmp_path, {
+        "schema": 1, "name": "uncertified", "methods": methods,
+        "domain": _DISK, "field": field, "resolutions": resolutions,
     })
     assert main(["run", path]) == 3
     captured = capsys.readouterr()
@@ -303,3 +318,15 @@ def test_unallocatable_resolution_scale_exits_1(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: scenario 'ball4-quaternion-square': out of memory ")
     assert "Unable to allocate" in lines[0]
+
+
+def test_unindexable_winding_rule_exits_1(capsys):
+    # at scale 1e5 the 4-D winding rule's node count (2.2e20) overflows the
+    # index type: the rule fails before any allocation, like the scan grid
+    assert main(["run", "ball4-quaternion-square", "--resolution-scale", "1e5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: scenario 'ball4-quaternion-square': out of memory ")
+    assert "too large to index" in lines[0]

@@ -78,7 +78,7 @@ def test_format_table_alignment():
 
 ZERO_KEYS = ["location", "winding", "eta", "beta", "regular", "degenerate",
              "jacobian_det", "field_norm", "winding_raw", "winding_residual",
-             "isolation_radius"]
+             "winding_error", "isolation_radius"]
 CHART_ZERO_KEYS = ZERO_KEYS + ["ambient", "chart", "chart_location"]
 EXCISION_KEYS = ["zero_sum", "enclosing_winding", "enclosing_raw", "agree",
                  "oracle_degree", "oracle_agree", "zeros"]

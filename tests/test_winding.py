@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from eulerchar.domains import BallDomain
 from eulerchar.fields import (
     ComplexProductField,
     PolynomialField,
+    VectorField,
     complex_power_field,
     constant_field,
     identity_field,
@@ -17,18 +19,21 @@ from eulerchar.fields import (
     saddle_field,
 )
 from eulerchar.winding import (
+    AGREE_TOL,
     BLOCK,
     SphereQuadrature,
     UndersampledError,
     ZeroOnSphereError,
     _degree_density,
     default_quadrature,
+    ladder,
     oracle_degree_anglesum,
     oracle_degree_preimage,
     sphere_area,
     sphere_mesh,
     winding_number,
 )
+from eulerchar.zeros import find_zeros
 
 RNG_SEED = 424242
 
@@ -243,3 +248,87 @@ def test_default_quadrature_cached_and_scaled():
     assert q1 is q2
     big = default_quadrature(2, scale=2.0)
     assert big.size == 2 * q1.size
+
+
+# -- the ladder of rules -------------------------------------------------
+
+
+class _Tally(VectorField):
+    """A field that records the point count of every evaluate_many call."""
+
+    def __init__(self, field):
+        self.dimension, self.name, self.field, self.calls = field.dimension, field.name, field, []
+
+    def evaluate_many(self, pts):
+        self.calls.append(len(pts))
+        return self.field.evaluate_many(pts)
+
+    def jacobian_many(self, pts):
+        return self.field.jacobian_many(pts)
+
+
+def test_ladder_doubles_from_its_start_to_below_the_top():
+    sizes = lambda n, top: [math.prod(c) for c in ladder(n, top)]
+    assert sizes(4, (48, 48, 96)) == [432, 3456, 27648]
+    assert sizes(3, (96, 192)) == [72, 288, 1152, 4608]
+    assert sizes(2, (512,)) == [64, 128, 256]
+    assert ladder(2, (24,)) == ((12,),)  # a coarse top still gets half of it below
+    assert ladder(4, (48, 48, 97))[-1] == (48, 48, 96)
+    assert ladder(2, (1,)) == ()
+
+
+def _well_conditioned(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * rng.uniform(0.5, 2.0, size=n)  # cond <= 4
+
+
+def test_ladder_stops_below_the_top_on_a_regular_zero():
+    rng = np.random.default_rng(RNG_SEED + 2)
+    for n in (2, 3, 4):
+        a = _well_conditioned(rng, n)
+        c = 0.1 * rng.standard_normal(n)
+        f = _Tally(linear_field(a, offset=-a @ c))
+        w = winding_number(f, c, 0.5, precondition=np.linalg.inv(a))
+        assert w.rounded == 1 and w.error <= AGREE_TOL
+        assert sum(f.calls) < default_quadrature(n).size
+    # a nonlinear field: z (z - 2) at its zero 0, preconditioned by J(0) = -2
+    f = _Tally(ComplexProductField(roots=[0.0, 2.0]))
+    w = winding_number(f, (0.0, 0.0), 0.5, precondition=-0.5 * np.eye(2))
+    assert w.rounded == 1 and w.error <= AGREE_TOL
+    assert f.calls == [128]  # the two first planar levels share one field call
+
+
+def test_a_rule_with_one_level_never_agrees_with_itself():
+    # the identity field's density is constant: every rule gives exactly 1,
+    # but a rule with no level below it has nothing to agree with
+    for n, counts in ((2, (1,)), (3, (1, 1))):
+        q = SphereQuadrature.build(n, counts=counts)
+        with pytest.raises(UndersampledError, match="no level below"):
+            winding_number(identity_field(n), (0.0,) * n, 1.0, q)
+
+
+def test_top_rule_near_a_wrong_integer_is_rejected():
+    # z - 0.97 has degree 1 on the unit circle, but 24 nodes give 1.928,
+    # within 0.1 of 2; the 12-node level below it reads 3.266
+    f = ComplexProductField(roots=[0.97])
+    with pytest.raises(UndersampledError, match="from the level below"):
+        winding_number(f, (0.0, 0.0), 1.0, SphereQuadrature.build(2, counts=(24,)))
+    assert winding_number(f, (0.0, 0.0), 1.0).rounded == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_preconditioned_winding_is_sign_det_times_degree(n):
+    rng = np.random.default_rng(RNG_SEED + 10 * n)
+    ball = BallDomain((0.0,) * n, 1.0)
+    for _ in range(4):
+        a = _well_conditioned(rng, n)
+        c = 0.3 * rng.standard_normal(n) / np.sqrt(n)
+        f = linear_field(a, offset=-a @ c)
+        sign = 1 if np.linalg.det(a) > 0 else -1
+        p = _well_conditioned(rng, n)  # deg(P phi) = sign det P deg phi
+        psign = 1 if np.linalg.det(p) > 0 else -1
+        assert winding_number(f, c, 0.4, precondition=p).rounded == psign * sign
+        assert winding_number(f, c, 0.4).rounded == sign
+        (z,) = find_zeros(f, ball)
+        assert z.regular and z.winding == z.eta == sign
+        assert abs(z.winding_raw - sign) <= z.winding_error + 1e-12

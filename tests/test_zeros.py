@@ -325,3 +325,18 @@ def test_find_zeros_makes_no_one_point_calls():
     assert [z.winding for z in zs] == [2]
     assert field.calls["evaluate"] == 0 and field.calls["jacobian"] == 0
     assert field.calls["evaluate_many"] + field.calls["jacobian_many"] <= 100
+
+
+def test_solve_batches_the_regular_rows_of_a_singular_batch():
+    # rows with an exact zero pivot take least squares; every row gets the
+    # bits a solve of that row alone gives
+    rng = np.random.default_rng(RNG_SEED + 7)
+    jac = rng.normal(size=(9, 4, 4))
+    jac[[2, 5], 3] = 0.0  # a zero row: an exact zero pivot
+    jac[7] = 0.0
+    fx = rng.normal(size=(9, 4))
+    steps = zeros._solve(jac, fx)
+    assert (np.linalg.det(jac) == 0.0).sum() == 3
+    for j, f, step in zip(jac, fx, steps):
+        assert step.tobytes() == zeros._solve(j[None], f[None])[0].tobytes()
+    np.testing.assert_allclose(jac[0] @ steps[0], fx[0], atol=1e-12)
