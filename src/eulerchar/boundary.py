@@ -79,6 +79,19 @@ def tangential_project(field: VectorField, ball: BallDomain, pts) -> np.ndarray:
     return phi - np.einsum("...i,...i->...", phi, m)[..., None] * m
 
 
+def tangential_field(field: VectorField, ball: BallDomain) -> CallableField:
+    """phi_par with its exact Jacobian J - m (m^T J + phi^T / r) - (phi . m) I / r."""
+
+    def jac(pts):
+        m = (pts - np.asarray(ball.center))[:, :, None] / ball.radius  # (k, N, 1) columns
+        phi, j = field.evaluate_many(pts)[:, :, None], field.jacobian_many(pts)
+        normal = (m.mT @ phi) * np.eye(ball.dimension)
+        return j - m @ (m.mT @ j + phi.mT / ball.radius) - normal / ball.radius
+
+    return CallableField(ball.dimension, lambda pts: tangential_project(field, ball, pts),
+                         jac=jac, name=f"{field.name}-tangential", batch=True)
+
+
 def alpha_angle(field: VectorField, ball: BallDomain, p) -> float:
     """Angle between the field and the outward normal, in [0, pi]."""
     p = np.asarray(p, dtype=float)
@@ -167,11 +180,9 @@ def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
 
 def _sphere_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
     """Zeros of the tangential projection on S^3 via the chart atlas."""
-    par = CallableField(ball.dimension, lambda pts: tangential_project(field, ball, pts),
-                        name=f"{field.name}-tangential", batch=True)
     sphere = SphereManifold(radius=ball.radius, center=np.asarray(ball.center),
                             ambient_dim=ball.dimension)
-    result = sphere.index_sum(par)
+    result = sphere.index_sum(tangential_field(field, ball))
     records = [_boundary_record(field, ball, np.asarray(z.ambient), z.winding, z.chart)
                for z in result.zeros]
     records.sort(key=lambda z: z.location)

@@ -1,16 +1,14 @@
 """Smooth vector fields phi: R^N -> R^N with batch evaluation.
 
 Every field exposes evaluate/jacobian plus vectorized *_many variants so
-quadrature loops stay in numpy.  Polynomial and complex-product fields
-carry exact Jacobians; generic callables fall back to central
-differences.
+quadrature loops stay in numpy.  Every field carries its exact Jacobian;
+a generic callable comes with its own, and the tangential projection and
+the chart pushforward apply the chain rule.  Nothing is differenced.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-FD_STEP = 1e-6
 
 
 class FieldError(ValueError):
@@ -18,7 +16,7 @@ class FieldError(ValueError):
 
 
 class VectorField:
-    """Base class; subclasses must set dimension and evaluate_many."""
+    """Base class; subclasses must set dimension, evaluate_many and jacobian_many."""
 
     dimension: int
     name: str = "field"
@@ -33,17 +31,8 @@ class VectorField:
         return self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def jacobian_many(self, pts: np.ndarray) -> np.ndarray:
-        """Central-difference Jacobians, (m, N, N) with J[p, i, j] = d phi_i / d x_j."""
-        pts = np.asarray(pts, dtype=float)
-        m, n = pts.shape
-        out = np.empty((m, n, n))
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = FD_STEP
-            hi = self.evaluate_many(pts + step)
-            lo = self.evaluate_many(pts - step)
-            out[:, :, j] = (hi - lo) / (2.0 * FD_STEP)
-        return out
+        """Exact Jacobians, (m, N, N) with J[p, i, j] = d phi_i / d x_j."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} N={self.dimension}>"
@@ -191,9 +180,9 @@ class ComplexProductField(VectorField):
 
 
 class CallableField(VectorField):
-    """Wrap a plain callable; vectorizes per point unless batch=True."""
+    """Wrap a plain callable and its Jacobian; vectorizes per point unless batch=True."""
 
-    def __init__(self, dimension, func, jac=None, name="callable", batch=False):
+    def __init__(self, dimension, func, jac, name="callable", batch=False):
         self.dimension = dimension
         self.name = name
         self._func = func
@@ -207,8 +196,6 @@ class CallableField(VectorField):
         return np.stack([np.asarray(self._func(p), dtype=float) for p in pts])
 
     def jacobian_many(self, pts):
-        if self._jac is None:
-            return super().jacobian_many(pts)
         pts = np.asarray(pts, dtype=float)
         if self._batch:
             return np.asarray(self._jac(pts), dtype=float)

@@ -133,17 +133,9 @@ class SphereManifold:
     def chart_frame(self, xi: np.ndarray, sign: float) -> np.ndarray:
         """Batch of chart differentials DP, shape (m, ambient, chart)."""
         xi = np.atleast_2d(xi)
-        m, d = xi.shape
-        rho2 = np.sum(xi * xi, axis=1)
-        denom = 1.0 + rho2
-        dp = np.zeros((m, self.ambient_dim, d))
-        for j in range(d):
-            for i in range(d):
-                dp[:, i, j] = (np.where(i == j, 1.0, 0.0)
-                               - 2.0 * xi[:, i] * xi[:, j] / denom)
-            dp[:, :, j] *= 2.0 / denom[:, None]
-            dp[:, -1, j] = sign * 4.0 * xi[:, j] / denom ** 2
-        return self.radius * dp
+        denom = (1.0 + np.sum(xi * xi, axis=1))[:, None, None]
+        top = (np.eye(xi.shape[1]) - 2.0 * xi[:, :, None] * xi[:, None, :] / denom) * (2.0 / denom)
+        return self.radius * np.concatenate([top, sign * 4.0 * xi[:, None, :] / denom ** 2], axis=1)
 
     def conformal_factor(self, xi: np.ndarray) -> np.ndarray:
         rho2 = np.sum(np.atleast_2d(xi) ** 2, axis=1)
@@ -158,17 +150,32 @@ class SphereManifold:
         return float(np.max(np.abs(np.einsum("pi,pi->p", phi, v))))
 
     def pushforward(self, field: VectorField, sign: float) -> VectorField:
-        """Chart representation g(xi) = DP^+ phi(P(xi)) of a tangent field."""
+        """Chart representation g(xi) = DP^T phi(P(xi)) / lambda^2 of a tangent field.
 
-        def ev(xi):
+        By the chain rule J_g = (H + DP^T J_phi DP) / lambda^2 + 4 g xi^T / D, D = 1 + |xi|^2,
+        where H = (4r/D^2) [(t - u.xi) I - u xi^T - xi u^T] + (16r/D^3) (u.xi - t) xi xi^T
+        is d(DP^T) phi, with u the first d components of phi and t = sign * phi_last.
+        """
+
+        def terms(xi):
             pts = self.chart_point(xi, sign)
             phi = field.evaluate_many(pts)
             dp = self.chart_frame(xi, sign)
             lam2 = self.conformal_factor(xi) ** 2
-            return np.einsum("pij,pi->pj", dp, phi) / lam2[:, None]
+            return pts, phi, dp, lam2, np.einsum("pij,pi->pj", dp, phi) / lam2[:, None]
+
+        def jac(xi):
+            pts, phi, dp, lam2, g = terms(xi)
+            x = xi[:, :, None]
+            u, t = phi[:, :-1, None], sign * phi[:, -1:, None]
+            d, ux = 1.0 + x.mT @ x, x.mT @ u
+            h = ((t - ux) * np.eye(self.chart_dim) - u @ x.mT - x @ u.mT
+                 + 4.0 * (ux - t) / d * (x @ x.mT)) * (4.0 * self.radius / d ** 2)
+            core = dp.mT @ field.jacobian_many(pts) @ dp
+            return (h + core) / lam2[:, None, None] + 4.0 * g[:, :, None] @ x.mT / d
 
         tag = "+" if sign > 0 else "-"
-        return CallableField(self.chart_dim, ev,
+        return CallableField(self.chart_dim, lambda xi: terms(xi)[-1], jac=jac,
                              name=f"{field.name}@chart{tag}", batch=True)
 
     def index_sum(self, field: VectorField, resolution: int | None = None) -> ClosedIndexResult:

@@ -195,11 +195,6 @@ class SphereQuadrature:
         nodes[:, dimension - 1] = sin_running
         return SphereQuadrature(dimension, nodes, weights, counts)
 
-    def refine(self, factor: int = 2) -> "SphereQuadrature":
-        return SphereQuadrature.build(
-            self.dimension, counts=tuple(c * factor for c in self.counts)
-        )
-
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
@@ -233,6 +228,12 @@ def ladder(dimension: int, top: tuple) -> tuple:
         if not levels or counts != levels[-1]:
             levels.append(counts)
         k += 1
+
+
+def coarsest_rule(dimension: int, quadrature: SphereQuadrature | None = None) -> SphereQuadrature:
+    """The first rule of winding_number's ladder under the top rule quadrature."""
+    top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[dimension]
+    return _rule(dimension, (ladder(dimension, top) + (top,))[0])
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,14 @@ wound with the preconditioned field psi = J(z)^-1 phi, which is close to
 x - z, so its index is sign det J(z) times deg psi, and deg psi must
 round to +1.  A degenerate zero is wound with phi itself, and that
 winding is its index.  find_zeros runs both on the zeros inside one
-domain; the chart atlases of manifolds deduplicate in between.  The
-enclosing sphere of index_sum_with_excision and its preimage oracle
-read phi itself, so they check the preconditioned windings
-independently.
+domain; the chart atlases of manifolds deduplicate in between.
+
+The enclosing sphere of index_sum_with_excision is preconditioned from
+its own samples, never from the zeros: phi ~ b + B s is fitted on the
+ladder's coarsest nodes s.  Where the fit's relative residual is at most
+FIT_GATE, B is invertible and b + B s vanishes inside (|B^-1 b| < 1), the
+degree is sign det P deg(P phi) with P = B^-1; elsewhere phi is wound.
+So, like the preimage oracle, it checks the per-zero windings independently.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .fields import VectorField
 from .report import Record
 from .winding import (
     SphereQuadrature,
+    coarsest_rule,
     oracle_degree_preimage,
     winding_number,
 )
@@ -39,6 +44,7 @@ REGULAR_DET_TOL = 1e-8
 DEDUP_SCALE = 1e-6
 ISOLATION_FLOOR_SCALE = 1e-5
 EXTRA_SEEDS = 8
+FIT_GATE = 0.5  # largest relative residual of the enclosing sphere's affine fit
 
 DEFAULT_RESOLUTION = {1: 64, 2: 32, 3: 16, 4: 10}
 
@@ -276,14 +282,34 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
     """
     records = find_zeros(field, ball, resolution=resolution, quadrature=quadrature)
     zero_sum = total_index(records)
-    big = winding_number(field, ball.center, ball.radius, quadrature)
+    p = _enclosing_preconditioner(field, ball, quadrature)
+    big = winding_number(field, ball.center, ball.radius, quadrature, precondition=p)
+    sign = 1 if p is None or np.linalg.det(p) > 0 else -1
+    enclosing = sign * big.rounded
     deg = oracle_degree_preimage(field, ball.center, ball.radius)
     return ExcisionResult(
         zero_sum=zero_sum,
-        enclosing_winding=big.rounded,
-        enclosing_raw=big.raw,
-        agree=zero_sum == big.rounded,
+        enclosing_winding=enclosing,
+        enclosing_raw=sign * big.raw,
+        agree=zero_sum == enclosing,
         oracle_degree=deg,
-        oracle_agree=deg == big.rounded,
+        oracle_agree=deg == enclosing,
         zeros=tuple(records),
     )
+
+
+def _enclosing_preconditioner(field: VectorField, ball: BallDomain, quadrature):
+    """B^-1 of the fit phi ~ b + B s on the enclosing sphere, or None if the gate fails.
+
+    On the ladder's coarsest rule, which is symmetric and exact for quadratics,
+    the least-squares fit is b = sum w phi / sum w and B = N sum w phi s^T / sum w.
+    """
+    quad = coarsest_rule(field.dimension, quadrature)
+    s, w = quad.nodes, quad.weights / quad.weights.sum()
+    phi = field.evaluate_many(np.asarray(ball.center) + ball.radius * s)
+    b, big = w @ phi, field.dimension * (w[:, None] * phi).T @ s
+    sq = lambda v: w @ np.vecdot(v, v)
+    if np.linalg.det(big) == 0.0 or sq(phi - b - s @ big.T) > FIT_GATE ** 2 * sq(phi):
+        return None
+    p = np.linalg.inv(big)
+    return p if np.linalg.norm(p @ b) < 1.0 else None

@@ -8,6 +8,12 @@ not certify: 28 interior windings off an integer at cond(A) from 42 to
 674, two confident wrong integers at cond(A) 1,600 and 7,500, and four
 S^3 boundary charts.  The preconditioned ladder certifies all of them
 but draw 165, and three draws that always passed stay in as controls.
+
+The same draws also go through the index-sum route.  The plain winding
+of the enclosing sphere could not certify 61 of them (cond(A) from 13
+to 7,537); its affine-fit preconditioner certifies them all, at the
+default rule and at the coarse rule of resolution scale 0.2, where the
+plain winding certified 0 for draws 50 and 128.
 """
 
 import numpy as np
@@ -16,7 +22,8 @@ import pytest
 from eulerchar.boundary import chi_with_boundary
 from eulerchar.domains import BallDomain
 from eulerchar.fields import linear_field
-from eulerchar.winding import UndersampledError
+from eulerchar.winding import UndersampledError, default_quadrature
+from eulerchar.zeros import index_sum_with_excision
 
 INTERIOR_UNDERSAMPLED = (22, 24, 25, 37, 50, 62, 72, 80, 83, 88, 104, 105, 107, 119,
                          128, 142, 145, 153, 161, 163, 169, 175, 178, 181, 186, 188,
@@ -27,13 +34,21 @@ PASSING = (0, 1, 2)
 # cond(A) = 60.6: a tangential zero in an S^3 chart whose winding has not
 # converged at the 18,432-node top rule (1.315, and 0.51 from the level below)
 STILL_UNCERTIFIED = (165,)
+# the plain enclosing winding raised UndersampledError on these
+ENCLOSING_UNDERSAMPLED = (2, 4, 6, 7, 11, 14, 22, 24, 30, 37, 46, 50, 51, 57, 59, 61, 62,
+                          64, 65, 69, 70, 72, 76, 80, 83, 84, 88, 89, 101, 102, 104, 105,
+                          107, 108, 112, 119, 124, 128, 130, 132, 134, 137, 138, 142, 145,
+                          152, 153, 155, 157, 161, 163, 165, 169, 175, 178, 181, 186, 188,
+                          191, 192, 195)
+# at resolution scale 0.2 the plain enclosing winding certified 0 for these
+COARSE_WRONG_INTEGER = (50, 128)
 
 
 def _draws():
     rng = np.random.default_rng(1)
     out = []
     for _ in range(max(INTERIOR_UNDERSAMPLED + WRONG_INTEGER + BOUNDARY_UNDERSAMPLED
-                       + STILL_UNCERTIFIED) + 1):
+                       + STILL_UNCERTIFIED + ENCLOSING_UNDERSAMPLED) + 1):
         a = rng.normal(size=(4, 4))
         out.append((a, 0.2 * rng.normal(size=4)))
     return out
@@ -57,3 +72,21 @@ def test_census_draw_left_uncertified_raises(k):
     a, c = DRAWS[k]
     with pytest.raises(UndersampledError):
         chi_with_boundary(linear_field(a, offset=-a @ c), BALL)
+
+
+def assert_index_sum_certifies(k, quadrature=None):
+    a, c = DRAWS[k]
+    res = index_sum_with_excision(linear_field(a, offset=-a @ c), BALL, quadrature=quadrature)
+    sign = 1 if np.linalg.det(a) > 0 else -1
+    assert res.enclosing_winding == res.zero_sum == res.oracle_degree == sign
+    assert res.agree and res.oracle_agree
+
+
+@pytest.mark.parametrize("k", ENCLOSING_UNDERSAMPLED + PASSING[:2])
+def test_census_index_sum_certifies(k):
+    assert_index_sum_certifies(k)
+
+
+@pytest.mark.parametrize("k", COARSE_WRONG_INTEGER)
+def test_census_index_sum_certifies_at_a_coarse_rule(k):
+    assert_index_sum_certifies(k, default_quadrature(4, 0.2))

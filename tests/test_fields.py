@@ -176,10 +176,14 @@ def test_torus_sines_zeros_and_jacobian():
         assert np.allclose(f.jacobian(x), fd_jacobian(f, x), atol=1e-6)
 
 
-def test_callable_field_default_fd_jacobian():
-    f = CallableField(2, lambda x: np.array([x[0] ** 3, x[0] * x[1]]))
-    j = f.jacobian([2.0, 1.0])
-    assert np.allclose(j, [[12.0, 0.0], [1.0, 2.0]], atol=1e-5)
+def test_callable_field_requires_jacobian():
+    func = lambda x: np.array([x[0] ** 3, x[0] * x[1]])
+    with pytest.raises(TypeError):
+        CallableField(2, func)
+    f = CallableField(2, func, jac=lambda x: np.array([[3 * x[0] ** 2, 0.0], [x[1], x[0]]]))
+    x = np.array([2.0, 1.0])
+    assert np.array_equal(f.jacobian(x), [[12.0, 0.0], [1.0, 2.0]])
+    assert np.allclose(f.jacobian(x), fd_jacobian(f, x), atol=1e-6)
 
 
 def test_builtin_registry_round_trip():

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerchar import zeros
+from eulerchar.boundary import tangential_field
+from eulerchar.domains import BallDomain
 from eulerchar.fields import (
     CallableField,
     constant_field,
+    linear_field,
+    quaternion_square_field,
     s2_height_gradient_field,
     s2_rotation_field,
     torus_sines_field,
@@ -20,6 +24,12 @@ from eulerchar.manifolds import (
 )
 
 RNG_SEED = 271828
+
+
+def constant_jacobian(m):
+    """Jacobians of the linear field x -> m x at a batch of points."""
+    m = np.asarray(m, dtype=float)
+    return lambda pts: np.broadcast_to(m, (len(pts),) + m.shape)
 
 
 def test_chart_points_lie_on_sphere():
@@ -42,6 +52,69 @@ def test_chart_frame_is_conformal():
     gram = np.einsum("pij,pik->pjk", dp, dp)
     want = lam[:, None, None] ** 2 * np.eye(2)[None, :, :]
     assert np.max(np.abs(gram - want)) < 1e-12
+
+
+def looped_chart_frame(sphere, xi, sign):
+    """The chart differentials filled entry by entry, as chart_frame once did."""
+    m, d = xi.shape
+    denom = 1.0 + np.sum(xi * xi, axis=1)
+    dp = np.zeros((m, sphere.ambient_dim, d))
+    for j in range(d):
+        for i in range(d):
+            dp[:, i, j] = np.where(i == j, 1.0, 0.0) - 2.0 * xi[:, i] * xi[:, j] / denom
+        dp[:, :, j] *= 2.0 / denom[:, None]
+        dp[:, -1, j] = sign * 4.0 * xi[:, j] / denom ** 2
+    return sphere.radius * dp
+
+
+@pytest.mark.parametrize("ambient", [3, 4])
+def test_chart_frame_matches_entrywise_loop(ambient):
+    rng = np.random.default_rng(RNG_SEED + 2)
+    s = SphereManifold(radius=1.7, center=rng.normal(size=ambient), ambient_dim=ambient)
+    xi = rng.uniform(-1.2, 1.2, size=(50, ambient - 1))
+    for sign in (1.0, -1.0):
+        assert np.array_equal(s.chart_frame(xi, sign), looped_chart_frame(s, xi, sign))
+
+
+def central_differences(field, pts, h=1e-6):
+    """Reference Jacobians (m, N, N) by central differences of step h."""
+    out = np.empty((len(pts), field.dimension, field.dimension))
+    for j in range(field.dimension):
+        step = np.zeros(field.dimension)
+        step[j] = h
+        out[:, :, j] = (field.evaluate_many(pts + step) - field.evaluate_many(pts - step)) / (2 * h)
+    return out
+
+
+def assert_exact_jacobian(field, pts):
+    exact = field.jacobian_many(pts)
+    gap = np.max(np.abs(exact - central_differences(field, pts)))
+    assert gap <= 1e-8 * max(1.0, np.max(np.abs(exact))), gap
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_tangential_field_jacobian_is_the_chain_rule(dimension):
+    rng = np.random.default_rng(RNG_SEED + 3)
+    ball = BallDomain(tuple(0.3 * rng.normal(size=dimension)), 1.4)
+    a = rng.normal(size=(dimension, dimension))
+    fields = [linear_field(a, offset=rng.normal(size=dimension))]
+    if dimension == 4:
+        fields.append(quaternion_square_field())
+    for f in fields:
+        assert_exact_jacobian(tangential_field(f, ball), rng.normal(size=(30, dimension)))
+
+
+@pytest.mark.parametrize("ambient", [3, 4])
+def test_pushforward_jacobian_is_the_chain_rule(ambient):
+    # on S^3 the pushed-forward field is the boundary route's tangential one
+    rng = np.random.default_rng(RNG_SEED + 4)
+    s = SphereManifold(radius=1.3, center=0.3 * rng.normal(size=ambient), ambient_dim=ambient)
+    ball = BallDomain(tuple(s.center), s.radius)
+    field = (s2_height_gradient_field() if ambient == 3 else
+             tangential_field(linear_field(rng.normal(size=(4, 4)), rng.normal(size=4)), ball))
+    xi = rng.uniform(-1.1, 1.1, size=(30, ambient - 1))
+    for sign in (1.0, -1.0):
+        assert_exact_jacobian(s.pushforward(field, sign), xi)
 
 
 def test_charts_agree_on_overlap():
@@ -81,7 +154,8 @@ def test_offset_scaled_sphere():
         q = pts - c
         return np.column_stack([-q[:, 1], q[:, 0], np.zeros(len(q))])
 
-    f = CallableField(3, ev, name="shifted-rotation", batch=True)
+    rot = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    f = CallableField(3, ev, jac=constant_jacobian(rot), name="shifted-rotation", batch=True)
     result = SphereManifold(radius=r, center=c).index_sum(f)
     assert result.total == 2
     tips = sorted(z.ambient[2] for z in result.zeros)
@@ -104,7 +178,12 @@ def test_sphere_in_r4_tangential_constant():
         e[:, 0] = 1.0
         return e - np.einsum("pi,i->p", pts, np.array([1.0, 0, 0, 0]))[:, None] * pts
 
-    f = CallableField(4, ev, name="tangential-e1", batch=True)
+    def jac(pts):  # d(e_1 - x_1 x) = -x e_1^T - x_1 I
+        out = -pts[:, 0, None, None] * np.eye(4)
+        out[:, :, 0] -= pts
+        return out
+
+    f = CallableField(4, ev, jac=jac, name="tangential-e1", batch=True)
     result = s.index_sum(f)
     assert result.total == 0 == result.chi_oracle
     assert len(result.zeros) == 2
@@ -117,7 +196,8 @@ def test_hopf_field_on_s3_has_no_zeros():
         x, y, z, w = pts.T
         return np.column_stack([-y, x, -w, z])
 
-    f = CallableField(4, ev, name="hopf", batch=True)
+    hopf = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    f = CallableField(4, ev, jac=constant_jacobian(hopf), name="hopf", batch=True)
     result = SphereManifold(ambient_dim=4).index_sum(f)
     assert result.total == 0
     assert result.zeros == ()
@@ -168,7 +248,9 @@ def test_torus_sines_field():
 
 
 def _x_rotation():
-    return CallableField(3, lambda pts: np.cross([1.0, 0.0, 0.0], pts),
+    u = [1.0, 0.0, 0.0]
+    return CallableField(3, lambda pts: np.cross(u, pts),
+                         jac=constant_jacobian(np.cross(u, np.eye(3)).T),
                          name="x-rotation", batch=True)
 
 
@@ -224,7 +306,9 @@ def test_rotation_about_any_axis_property(axis, radius):
     # u x p vanishes at +-r u; equatorial axes put both zeros on |xi| = 1
     # in both charts, where each must still count once
     u = np.asarray(axis) / np.linalg.norm(axis)
-    f = CallableField(3, lambda pts: np.cross(u, pts), name="axis-rotation", batch=True)
+    f = CallableField(3, lambda pts: np.cross(u, pts),
+                      jac=constant_jacobian(np.cross(u, np.eye(3)).T),
+                      name="axis-rotation", batch=True)
     result = SphereManifold(radius=radius).index_sum(f)
     assert result.total == 2 == result.chi_oracle
     assert len(result.zeros) == 2 and all(z.winding == 1 for z in result.zeros)

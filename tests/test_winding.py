@@ -191,7 +191,7 @@ def test_winding_around_translated_zero():
 def test_refinement_reduces_residual():
     f = complex_power_field(3)
     coarse = SphereQuadrature.build(2, counts=(24,))
-    fine = coarse.refine(8)
+    fine = SphereQuadrature.build(2, counts=(192,))
     wc = winding_number(f, (0.1, -0.05), 1.0, coarse)
     wf = winding_number(f, (0.1, -0.05), 1.0, fine)
     assert abs(wf.residual) <= abs(wc.residual)

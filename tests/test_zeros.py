@@ -182,6 +182,36 @@ def test_excision_agrees_for_rotated_linear_fields():
         assert res.zero_sum == (1 if np.linalg.det(q) > 0 else -1)
 
 
+# a degree-0 disk whose affine fit is good (relative residual 0.089) but
+# vanishes outside the circle (|B^-1 b| = 3.65, cond B = 332)
+FAR_FIT_DISK = (
+    ComplexProductField(roots=[-0.21392890117058394 + 0.05144376491950553j,
+                               -0.49503085854036843 - 0.16357350131260623j],
+                        conj_roots=[-0.5766730064401634 + 0.20372995044663744j,
+                                    -0.06267607426816396 - 0.3120623300709575j]),
+    BallDomain((-0.33020780151490825, 0.32199464573660386), 1.2865483465345142))
+
+
+@pytest.mark.parametrize("field,ball,degree", [
+    FAR_FIT_DISK + (0,),
+    (quaternion_square_field(), BallDomain((0.0,) * 4, 1.5), 2),  # relative residual 0.9
+    (constant_field([0.0, 0.0, 0.0, 1.0]), BallDomain((0.0,) * 4, 1.0), 0),  # B is ~0
+], ids=["far-fit-disk", "quaternion-square", "constant-4d"])
+def test_enclosing_fit_gate_winds_the_plain_field(field, ball, degree):
+    assert zeros._enclosing_preconditioner(field, ball, None) is None
+    result = index_sum_with_excision(field, ball)
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == degree
+
+
+def test_enclosing_fit_preconditions_a_linear_field():
+    a = np.array([[2.0, 1.0], [0.0, -0.5]])
+    ball = BallDomain((0.1, -0.2), 1.3)
+    p = zeros._enclosing_preconditioner(linear_field(a, offset=[0.3, 0.1]), ball, None)
+    assert np.allclose(p, np.linalg.inv(a) / ball.radius)
+    result = index_sum_with_excision(linear_field(a, offset=[0.3, 0.1]), ball)
+    assert result.enclosing_winding == result.zero_sum == -1
+
+
 # lattice sites 0.35 apart with |z| <= 0.7; a jitter of at most 0.05 per axis
 # keeps any two roots 0.2 apart and every root 0.22 inside the unit circle
 _SITES = [complex(a, b) for a in np.arange(-0.7, 0.71, 0.35)
