@@ -16,6 +16,12 @@ inward) and for wholly tangent fields, the boundary term vanishes and
 the two assemblies coincide; those are the endorsed families where
 chi_paper is asserted against the oracle.  For generic crossing fields
 chi_paper is reported with a flag but only chi_morse is certified.
+
+On B^2 the zeros of phi_par are the sign changes of phi . t along the
+circle, t the unit tangent, each refined by brentq.  On B^4 the two
+stereographic charts of S^3 push phi itself forward: their columns DP
+are tangent, so DP^T m = 0 and DP^T phi = DP^T phi_par, and phi_par is
+never formed.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .domains import BallDomain
-from .fields import CallableField, VectorField
+from .fields import VectorField
 from .manifolds import SphereManifold
 from .report import Record
 from .triangulations import chi_oracle
-from .winding import sphere_mesh
-from .zeros import find_zeros, total_index
+from .winding import SphereQuadrature, sphere_mesh
+from .zeros import _norms, find_zeros, total_index
 
 MIN_BOUNDARY_NORM = 1e-8
 TRANSVERSAL_EPS = 1e-3
@@ -71,36 +77,13 @@ class BoundaryReport(Record):
     boundary_zeros: tuple    # BoundaryZeroRecords
 
 
-def tangential_project(field: VectorField, ball: BallDomain, pts) -> np.ndarray:
-    """phi - (phi . m) m at boundary points, one point (N,) or a batch (k, N)."""
-    pts = np.asarray(pts, dtype=float)
-    m = (pts - np.asarray(ball.center)) / ball.radius
-    phi = field.evaluate_many(pts.reshape(-1, ball.dimension)).reshape(pts.shape)
-    return phi - np.einsum("...i,...i->...", phi, m)[..., None] * m
-
-
-def tangential_field(field: VectorField, ball: BallDomain) -> CallableField:
-    """phi_par with its exact Jacobian J - m (m^T J + phi^T / r) - (phi . m) I / r."""
-
-    def jac(pts):
-        m = (pts - np.asarray(ball.center))[:, :, None] / ball.radius  # (k, N, 1) columns
-        phi, j = field.evaluate_many(pts)[:, :, None], field.jacobian_many(pts)
-        normal = (m.mT @ phi) * np.eye(ball.dimension)
-        return j - m @ (m.mT @ j + phi.mT / ball.radius) - normal / ball.radius
-
-    return CallableField(ball.dimension, lambda pts: tangential_project(field, ball, pts),
-                         jac=jac, name=f"{field.name}-tangential", batch=True)
-
-
-def alpha_angle(field: VectorField, ball: BallDomain, p) -> float:
-    """Angle between the field and the outward normal, in [0, pi]."""
-    p = np.asarray(p, dtype=float)
-    m = ball.outward_normal(p)
-    phi = field.evaluate(p)
-    norm = np.linalg.norm(phi)
-    if norm <= MIN_BOUNDARY_NORM:
-        raise BoundaryError(f"field vanishes on the boundary at {p.tolist()}")
-    return float(math.acos(np.clip(np.dot(phi, m) / norm, -1.0, 1.0)))
+def alpha_angle(phi: np.ndarray, m: np.ndarray) -> list:
+    """Angles in [0, pi] between field values phi and outward normals m, row by row."""
+    norms = _norms(phi)
+    for row, norm in zip(m, norms):
+        if norm <= MIN_BOUNDARY_NORM:
+            raise BoundaryError(f"field vanishes on the boundary along the normal {row.tolist()}")
+    return [math.acos(c) for c in np.clip(np.vecdot(phi, m) / norms, -1.0, 1.0)]
 
 
 def _boundary_samples(ball: BallDomain) -> np.ndarray:
@@ -133,17 +116,24 @@ def _classify(field: VectorField, ball: BallDomain):
     return [], cos_alpha
 
 
-def _boundary_record(field: VectorField, ball: BallDomain, p, winding: int,
-                     chart: str) -> BoundaryZeroRecord:
-    normal_comp = float(np.dot(field.evaluate(p), ball.outward_normal(p)))
-    return BoundaryZeroRecord(
+def _boundary_records(field: VectorField, ball: BallDomain, pts, windings,
+                      charts) -> list:
+    """BoundaryZeroRecords of boundary points (k, N), from one field call, sorted by location."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, ball.dimension)
+    phi = np.ascontiguousarray(field.evaluate_many(pts))  # so vecdot gives each row np.dot's bits
+    v = pts - np.asarray(ball.center)
+    m = v / _norms(v)[:, None]
+    normal_comps = np.vecdot(phi, m)
+    records = [BoundaryZeroRecord(
         location=tuple(p.tolist()),
-        winding=winding,
-        inward=normal_comp < 0.0,
-        alpha=alpha_angle(field, ball, p),
-        normal_component=normal_comp,
+        winding=w,
+        inward=bool(nc < 0.0),
+        alpha=a,
+        normal_component=float(nc),
         chart=chart,
-    )
+    ) for p, w, nc, a, chart in zip(pts, windings, normal_comps, alpha_angle(phi, m), charts)]
+    records.sort(key=lambda z: z.location)
+    return records
 
 
 def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
@@ -152,41 +142,37 @@ def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
     r = ball.radius
 
     def f(theta):
-        p = c + r * np.array([math.cos(theta), math.sin(theta)])
-        phi = field.evaluate(p)
+        p = c + r * np.array([[math.cos(theta), math.sin(theta)]])
+        phi = field.evaluate_many(p)[0]
         return float(-phi[0] * math.sin(theta) + phi[1] * math.cos(theta))
 
     th = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES
     cos, sin = np.cos(th), np.sin(th)
     phi = field.evaluate_many(c + r * np.column_stack([cos, sin]))
     vals = -phi[:, 0] * sin + phi[:, 1] * cos
-    records = []
+    roots, windings = [], []
     for k in range(CIRCLE_SAMPLES):
         a, b = vals[k], vals[k + 1]
         if a == 0.0:  # re-seat exact hits between samples
             a = f(th[k] - 1e-9)
         if a * b < 0.0:
-            root = brentq(f, th[k] - 1e-9, th[k + 1], xtol=1e-14)
-            w = 1 if (b - a) > 0 else -1
-            p = c + r * np.array([math.cos(root), math.sin(root)])
-            records.append(_boundary_record(field, ball, p, w, "circle"))
+            roots.append(brentq(f, th[k] - 1e-9, th[k + 1], xtol=1e-14))
+            windings.append(1 if (b - a) > 0 else -1)
         elif abs(a) < TOUCH_TOL and abs(b) < TOUCH_TOL:
             raise BoundaryError(
                 "boundary field hugs zero without crossing; zeros not isolated"
             )
-    records.sort(key=lambda z: z.location)
-    return records
+    pts = c + r * np.array([[math.cos(t), math.sin(t)] for t in roots]).reshape(-1, 2)
+    return _boundary_records(field, ball, pts, windings, ["circle"] * len(roots))
 
 
 def _sphere_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
-    """Zeros of the tangential projection on S^3 via the chart atlas."""
+    """Zeros of phi_par on S^3: the chart atlas pushes phi forward, which sees only phi_par."""
     sphere = SphereManifold(radius=ball.radius, center=np.asarray(ball.center),
                             ambient_dim=ball.dimension)
-    result = sphere.index_sum(tangential_field(field, ball))
-    records = [_boundary_record(field, ball, np.asarray(z.ambient), z.winding, z.chart)
-               for z in result.zeros]
-    records.sort(key=lambda z: z.location)
-    return records
+    zs = sphere.tangential_index_sum(field).zeros
+    return _boundary_records(field, ball, [z.ambient for z in zs], [z.winding for z in zs],
+                             [z.chart for z in zs])
 
 
 def boundary_zeros(field: VectorField, ball: BallDomain) -> list:
@@ -198,15 +184,20 @@ def boundary_zeros(field: VectorField, ball: BallDomain) -> list:
 
 
 def chi_with_boundary(field: VectorField, ball: BallDomain,
-                      resolution: int | None = None) -> BoundaryReport:
-    """Both chi assemblies for a field on a closed ball."""
+                      resolution: int | None = None,
+                      quadrature: SphereQuadrature | None = None) -> BoundaryReport:
+    """Both chi assemblies for a field on a closed ball.
+
+    quadrature tops the interior zeros' winding ladders; the S^3 chart
+    zeros keep their fixed scan grid and rule.
+    """
     if field.dimension != ball.dimension:
         raise BoundaryError("field and ball dimensions differ")
     if field.dimension not in (2, 4):
         raise BoundaryError("boundary machinery covers B^2 and B^4")
 
     flags, _ = _classify(field, ball)
-    interior = find_zeros(field, ball, resolution=resolution)
+    interior = find_zeros(field, ball, resolution=resolution, quadrature=quadrature)
     interior_sum = total_index(interior)
 
     if flags:  # transversal or wholly tangent: no boundary contribution

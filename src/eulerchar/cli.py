@@ -202,8 +202,9 @@ def _run_boundary(sc, scale, assert_paper):
         ball, field = _ball_and_field(sc)
         if ball.dimension not in (2, 4):
             raise ScenarioError("boundary-theorem needs a 2- or 4-dimensional ball")
+        quad = default_quadrature(ball.dimension, _quad_scale(sc, scale))
         res = _grid_res(sc, DEFAULT_RESOLUTION[ball.dimension], scale)
-    report = chi_with_boundary(field, ball, resolution=res)
+    report = chi_with_boundary(field, ball, resolution=res, quadrature=quad)
     agree = report.chi_morse == report.chi_oracle
     if report.endorsed or assert_paper:
         agree = agree and report.chi_paper == report.chi_oracle

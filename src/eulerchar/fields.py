@@ -1,9 +1,10 @@
 """Smooth vector fields phi: R^N -> R^N with batch evaluation.
 
-Every field exposes evaluate/jacobian plus vectorized *_many variants so
-quadrature loops stay in numpy.  Every field carries its exact Jacobian;
-a generic callable comes with its own, and the tangential projection and
-the chart pushforward apply the chain rule.  Nothing is differenced.
+Every field evaluates a batch of points, evaluate_many, and carries its
+exact Jacobians, jacobian_many, so quadrature loops stay in numpy; one
+point is a batch of one.  A generic callable comes with its own
+Jacobian, and the chart pushforward applies the chain rule.  Nothing is
+differenced.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ class VectorField:
     dimension: int
     name: str = "field"
 
-    def evaluate(self, x) -> np.ndarray:
-        return self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def jacobian_many(self, pts: np.ndarray) -> np.ndarray:
         """Exact Jacobians, (m, N, N) with J[p, i, j] = d phi_i / d x_j."""

@@ -1,8 +1,10 @@
 """Index sums over closed manifolds via chart atlases.
 
-Spheres are covered by the two stereographic charts; vector fields
-tangent to the sphere push forward through the conformal chart inverse,
-and their windings are chart-independent.  The flat torus has one tile,
+Spheres are covered by the two stereographic charts; an ambient field
+pushes forward through the conformal chart inverse, and its windings
+are chart-independent.  The chart columns DP are tangent, so DP^T m = 0
+for the unit normal m: a chart sees only the tangential part
+phi - (phi . m) m, and needs no projection.  The flat torus has one tile,
 [-p/4, 5p/4]^2, whose points reduce mod the periods.  The zeros are
 first located in each chart's scan ball |xi| <= 1/0.92 + 0.05, or in the
 tile.  A zero seen twice is one point of the manifold: only its sighting
@@ -150,9 +152,11 @@ class SphereManifold:
         return float(np.max(np.abs(np.einsum("pi,pi->p", phi, v))))
 
     def pushforward(self, field: VectorField, sign: float) -> VectorField:
-        """Chart representation g(xi) = DP^T phi(P(xi)) / lambda^2 of a tangent field.
+        """Chart representation g(xi) = DP^T phi(P(xi)) / lambda^2 of an ambient field.
 
-        By the chain rule J_g = (H + DP^T J_phi DP) / lambda^2 + 4 g xi^T / D, D = 1 + |xi|^2,
+        Since DP^T m = 0, g also represents the tangential part phi - (phi . m) m.
+        The chain rule holds for any phi: J_g = (H + DP^T J_phi DP) / lambda^2 + 4 g xi^T / D,
+        D = 1 + |xi|^2,
         where H = (4r/D^2) [(t - u.xi) I - u xi^T - xi u^T] + (16r/D^3) (u.xi - t) xi xi^T
         is d(DP^T) phi, with u the first d components of phi and t = sign * phi_last.
         """
@@ -184,6 +188,11 @@ class SphereManifold:
             raise ManifoldError(
                 f"field is not tangent to the sphere (residual {tang:.3e})"
             )
+        return self.tangential_index_sum(field, resolution)
+
+    def tangential_index_sum(self, field: VectorField,
+                             resolution: int | None = None) -> ClosedIndexResult:
+        """Index sum of the tangential part phi - (phi . m) m of an ambient field."""
         origin = np.zeros(self.chart_dim)
         scan = BallDomain(origin, 1.0 / 0.92 + 0.05)
         charts = [(tag, self.pushforward(field, sign), scan, origin,

@@ -10,7 +10,6 @@ from eulerchar.boundary import (
     alpha_angle,
     boundary_zeros,
     chi_with_boundary,
-    tangential_project,
 )
 from eulerchar.domains import BallDomain
 from eulerchar.fields import (
@@ -25,34 +24,21 @@ DISK = BallDomain((0.0, 0.0), 1.0)
 BALL4 = BallDomain((0.0, 0.0, 0.0, 0.0), 1.0)
 
 
-def test_tangential_projection_is_tangent():
-    f = constant_field([1.0, 0.0])
-    p = np.array([math.cos(0.3), math.sin(0.3)])
-    proj = tangential_project(f, DISK, p)
-    assert abs(np.dot(proj, p)) < 1e-14
-
-
-def test_tangential_project_batch_matches_points():
-    rng = np.random.default_rng(2718)
-    for ball in (BallDomain((0.2, -0.4), 1.3), BallDomain((0.3, -0.2, 0.1, 0.5), 1.7)):
-        n = ball.dimension
-        field = linear_field(rng.standard_normal((n, n)), offset=rng.standard_normal(n))
-        dirs = rng.standard_normal((40, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts = np.asarray(ball.center) + ball.radius * dirs
-        batch = tangential_project(field, ball, pts)
-        assert batch.shape == pts.shape
-        for p, row in zip(pts, batch):
-            assert np.array_equal(tangential_project(field, ball, p), row)
-        assert np.max(np.abs(np.einsum("pi,pi->p", batch, dirs))) < 1e-12
-
-
 def test_alpha_angle_values():
-    assert abs(alpha_angle(identity_field(2), DISK, [1.0, 0.0])) < 1e-14
-    inward = linear_field(-np.eye(2))
-    assert abs(alpha_angle(inward, DISK, [0.0, 1.0]) - math.pi) < 1e-14
-    rot = rotation_field(2)
-    assert abs(alpha_angle(rot, DISK, [1.0, 0.0]) - math.pi / 2) < 1e-14
+    m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    fields = (identity_field(2), linear_field(-np.eye(2)), rotation_field(2))
+    phi = np.stack([f.evaluate_many(row[None])[0] for f, row in zip(fields, m)])
+    assert np.allclose(alpha_angle(phi, m), [0.0, math.pi, math.pi / 2], rtol=0.0, atol=1e-14)
+    with pytest.raises(BoundaryError):
+        alpha_angle(np.array([[0.0, 1e-9]]), m[:1])
+    # each row has the bits a one-point computation gives it
+    rng = np.random.default_rng(2718)
+    for n in (2, 4):
+        phi, m = rng.standard_normal((2, 40, n))
+        m /= np.linalg.norm(m, axis=1)[:, None]
+        want = [math.acos(np.clip(np.dot(f, u) / np.linalg.norm(f), -1.0, 1.0))
+                for f, u in zip(phi, m)]
+        assert alpha_angle(phi, m) == want
 
 
 def test_outward_radial_disk():

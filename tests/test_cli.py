@@ -180,6 +180,18 @@ def test_scenario_resolutions_override(tmp_path):
     assert main(["run", bad]) == 1
 
 
+def test_boundary_theorem_winds_on_the_scenario_quadrature():
+    # both methods wind the interior zeros on the rule resolutions.scale picks
+    sc = load_scenario("plane-three-zeros")
+    sc["methods"] = ["index-sum", "boundary-theorem"]
+    sc["domain"]["radius"] = 1.0
+    sc["resolutions"] = {"scale": 1 / 64}
+    methods = run_scenario(sc)[0]["methods"]
+    zeros = methods["boundary-theorem"]["zeros"]
+    assert [z["winding"] for z in zeros] == [1, -1, 2]
+    assert zeros == methods["index-sum"]["zeros"]
+
+
 def test_run_scenario_programmatic():
     sc = load_scenario("annulus-hedgehog")
     report, rows, ok = run_scenario(sc)

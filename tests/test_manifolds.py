@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerchar import zeros
-from eulerchar.boundary import tangential_field
-from eulerchar.domains import BallDomain
 from eulerchar.fields import (
     CallableField,
     constant_field,
@@ -92,29 +90,53 @@ def assert_exact_jacobian(field, pts):
     assert gap <= 1e-8 * max(1.0, np.max(np.abs(exact))), gap
 
 
-@pytest.mark.parametrize("dimension", [2, 4])
-def test_tangential_field_jacobian_is_the_chain_rule(dimension):
-    rng = np.random.default_rng(RNG_SEED + 3)
-    ball = BallDomain(tuple(0.3 * rng.normal(size=dimension)), 1.4)
-    a = rng.normal(size=(dimension, dimension))
-    fields = [linear_field(a, offset=rng.normal(size=dimension))]
-    if dimension == 4:
-        fields.append(quaternion_square_field())
-    for f in fields:
-        assert_exact_jacobian(tangential_field(f, ball), rng.normal(size=(30, dimension)))
-
-
 @pytest.mark.parametrize("ambient", [3, 4])
 def test_pushforward_jacobian_is_the_chain_rule(ambient):
-    # on S^3 the pushed-forward field is the boundary route's tangential one
+    # on S^3 the field is the boundary route's: an ambient field, not tangent
     rng = np.random.default_rng(RNG_SEED + 4)
     s = SphereManifold(radius=1.3, center=0.3 * rng.normal(size=ambient), ambient_dim=ambient)
-    ball = BallDomain(tuple(s.center), s.radius)
     field = (s2_height_gradient_field() if ambient == 3 else
-             tangential_field(linear_field(rng.normal(size=(4, 4)), rng.normal(size=4)), ball))
+             linear_field(rng.normal(size=(4, 4)), rng.normal(size=4)))
     xi = rng.uniform(-1.1, 1.1, size=(30, ambient - 1))
     for sign in (1.0, -1.0):
         assert_exact_jacobian(s.pushforward(field, sign), xi)
+
+
+def projected_field(field, sphere):
+    """phi - (phi . m) m with its Jacobian J - m (m^T J + phi^T / r) - (phi . m) I / r."""
+    def normals(pts):
+        return (pts - sphere.center)[:, :, None] / sphere.radius  # (k, N, 1) columns
+
+    def ev(pts):
+        m, phi = normals(pts), field.evaluate_many(pts)[:, :, None]
+        return (phi - m @ (m.mT @ phi))[:, :, 0]
+
+    def jac(pts):
+        m, phi, j = normals(pts), field.evaluate_many(pts)[:, :, None], field.jacobian_many(pts)
+        normal = (m.mT @ phi) * np.eye(field.dimension)
+        return j - m @ (m.mT @ j + phi.mT / sphere.radius) - normal / sphere.radius
+
+    return CallableField(field.dimension, ev, jac=jac, batch=True)
+
+
+@pytest.mark.parametrize("ambient", [3, 4])
+def test_pushforward_sees_only_the_tangential_part(ambient):
+    # DP^T m = 0: a chart pushes phi and phi - (phi . m) m forward alike
+    rng = np.random.default_rng(RNG_SEED + 5)
+    s = SphereManifold(radius=1.4, center=0.3 * rng.normal(size=ambient), ambient_dim=ambient)
+    fields = [linear_field(rng.normal(size=(ambient, ambient)), rng.normal(size=ambient))]
+    if ambient == 4:
+        fields.append(quaternion_square_field())
+    xi = rng.uniform(-1.5, 1.5, size=(40, ambient - 1))
+    for field in fields:
+        assert s.tangency_residual(field) > 0.1
+        for sign in (1.0, -1.0):
+            raw = s.pushforward(field, sign)
+            proj = s.pushforward(projected_field(field, s), sign)
+            for got, want in ((raw.evaluate_many(xi), proj.evaluate_many(xi)),
+                              (raw.jacobian_many(xi), proj.jacobian_many(xi))):
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_charts_agree_on_overlap():

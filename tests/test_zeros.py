@@ -237,12 +237,12 @@ def test_complex_product_excision_property(picks):
 def _newton_one_seed(field, start):
     """Reference: the per-seed damped Newton, one point per field call."""
     x = np.asarray(start, dtype=float).copy()
-    fx = field.evaluate(x)
+    fx = field.evaluate_many([x])[0]
     norm = float(np.linalg.norm(fx))
     for _ in range(zeros.NEWTON_MAXITER):
         if norm <= zeros.NEWTON_TOL:
             return x
-        jac = field.jacobian(x)
+        jac = field.jacobian_many([x])[0]
         try:
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
@@ -252,7 +252,7 @@ def _newton_one_seed(field, start):
         lam = 1.0
         while lam >= zeros.MIN_DAMPING:
             trial = x - lam * step
-            ft = field.evaluate(trial)
+            ft = field.evaluate_many([trial])[0]
             nt = float(np.linalg.norm(ft))
             if nt < norm:
                 x, fx, norm = trial, ft, nt
@@ -334,11 +334,11 @@ class CountingField(VectorField):
 
     def evaluate(self, x):
         self.calls["evaluate"] += 1
-        return self.inner.evaluate(x)
+        return self.inner.evaluate_many([x])[0]
 
     def jacobian(self, x):
         self.calls["jacobian"] += 1
-        return self.inner.jacobian(x)
+        return self.inner.jacobian_many([x])[0]
 
     def evaluate_many(self, pts):
         self.calls["evaluate_many"] += 1
