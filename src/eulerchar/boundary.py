@@ -97,8 +97,8 @@ def _boundary_samples(ball: BallDomain) -> np.ndarray:
     return c + ball.radius * dirs
 
 
-def _classify(field: VectorField, ball: BallDomain):
-    """(flags, cos_alpha array) from a boundary sweep of phi . m / |phi|."""
+def _classify(field: VectorField, ball: BallDomain) -> list:
+    """Flags from a boundary sweep of cos alpha = phi . m / |phi|."""
     pts = _boundary_samples(ball)
     c = np.asarray(ball.center)
     m = (pts - c) / ball.radius
@@ -108,12 +108,12 @@ def _classify(field: VectorField, ball: BallDomain):
         raise BoundaryError("field vanishes on the boundary sphere")
     cos_alpha = np.einsum("pi,pi->p", phi, m) / norms
     if cos_alpha.min() > TRANSVERSAL_EPS:
-        return ["transversal-outward"], cos_alpha
+        return ["transversal-outward"]
     if cos_alpha.max() < -TRANSVERSAL_EPS:
-        return ["transversal-inward"], cos_alpha
+        return ["transversal-inward"]
     if np.max(np.abs(cos_alpha)) < TANGENT_EPS:
-        return ["constant-alpha-tangent"], cos_alpha
-    return [], cos_alpha
+        return ["constant-alpha-tangent"]
+    return []
 
 
 def _boundary_records(field: VectorField, ball: BallDomain, pts, windings,
@@ -196,7 +196,7 @@ def chi_with_boundary(field: VectorField, ball: BallDomain,
     if field.dimension not in (2, 4):
         raise BoundaryError("boundary machinery covers B^2 and B^4")
 
-    flags, _ = _classify(field, ball)
+    flags = _classify(field, ball)
     interior = find_zeros(field, ball, resolution=resolution, quadrature=quadrature)
     interior_sum = total_index(interior)
 

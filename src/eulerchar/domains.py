@@ -42,13 +42,6 @@ class BallDomain:
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
 
-    def outward_normal(self, p) -> np.ndarray:
-        v = np.asarray(p, dtype=float) - np.asarray(self.center)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise DomainError("normal undefined at the ball center")
-        return v / n
-
 
 @dataclass(frozen=True)
 class BoxDomain:

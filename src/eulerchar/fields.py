@@ -1,13 +1,19 @@
 """Smooth vector fields phi: R^N -> R^N with batch evaluation.
 
-Every field evaluates a batch of points, evaluate_many, and carries its
-exact Jacobians, jacobian_many, so quadrature loops stay in numpy; one
-point is a batch of one.  A generic callable comes with its own
-Jacobian, and the chart pushforward applies the chain rule.  Nothing is
-differenced.
+Every field evaluates a batch of points, evaluate_many, and returns its
+jet, jet_many: phi, with the bits evaluate_many gives, and its exact
+Jacobian J from one call, so no layer evaluates phi twice; one point is a
+batch of one.  A polynomial computes each coordinate power once a call for
+phi and J; a complex product shares its factors; a generic callable comes
+with its own Jacobian, and the chart pushforward applies the chain rule to
+its inner field's jet.  Nothing is differenced.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import add, mul
 
 import numpy as np
 
@@ -17,7 +23,7 @@ class FieldError(ValueError):
 
 
 class VectorField:
-    """Base class; subclasses must set dimension, evaluate_many and jacobian_many."""
+    """Base class; subclasses must set dimension, evaluate_many and jet_many."""
 
     dimension: int
     name: str = "field"
@@ -25,8 +31,8 @@ class VectorField:
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian_many(self, pts: np.ndarray) -> np.ndarray:
-        """Exact Jacobians, (m, N, N) with J[p, i, j] = d phi_i / d x_j."""
+    def jet_many(self, pts: np.ndarray):
+        """(phi, J): values (m, N) and exact Jacobians (m, N, N), J[p, i, j] = d phi_i / d x_j."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -53,45 +59,47 @@ class PolynomialField(VectorField):
                 clean.append((exps, float(coeff)))
             self.components.append(tuple(clean))
         # partial derivatives, differentiated term by term
-        self._deriv = []
-        for terms in self.components:
-            row = []
-            for j in range(dimension):
-                dterms = []
-                for exps, coeff in terms:
-                    if exps[j] == 0:
-                        continue
-                    d = list(exps)
-                    d[j] -= 1
-                    dterms.append((tuple(d), coeff * exps[j]))
-                row.append(tuple(dterms))
-            self._deriv.append(row)
+        self._deriv = [[tuple((exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
+                              for exps, coeff in terms if exps[j])
+                        for j in range(dimension)] for terms in self.components]
+        # J itself when every partial is constant, as for a linear field
+        self._constant_jac = (None if any(any(e) for row in self._deriv for t in row for e, _ in t)
+                              else [[self._eval_terms(t, None) for t in row] for row in self._deriv])
 
     @staticmethod
-    def _eval_terms(terms, pts):
-        acc = np.zeros(pts.shape[0])
+    def _eval_terms(terms, power):
+        """Sum of the terms from 0.0 on, in term order; a float while every term is constant."""
+        acc = 0.0
         for exps, coeff in terms:
-            mono = np.full(pts.shape[0], coeff)
+            mono = coeff
             for j, e in enumerate(exps):
                 if e:
-                    mono = mono * pts[:, j] ** e
-            acc += mono
+                    mono = mono * power(j, e)
+            acc = acc + mono
         return acc
 
-    def evaluate_many(self, pts):
+    def _jet(self, pts, jacobian: bool):
         pts = np.asarray(pts, dtype=float)
-        out = np.empty((pts.shape[0], self.dimension))
+        power = lru_cache(maxsize=None)(lambda j, e: pts[:, j] ** e)  # each power once a call
+        phi = np.empty(pts.shape)
         for i, terms in enumerate(self.components):
-            out[:, i] = self._eval_terms(terms, pts)
-        return out
+            phi[:, i] = self._eval_terms(terms, power)
+        if not jacobian:
+            return phi
+        jac = np.empty((len(pts), self.dimension, self.dimension))
+        if self._constant_jac is not None:
+            jac[:] = self._constant_jac  # broadcast in one pass
+        else:
+            for i, row in enumerate(self._deriv):
+                for j, terms in enumerate(row):
+                    jac[:, i, j] = self._eval_terms(terms, power)
+        return phi, jac
 
-    def jacobian_many(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty((pts.shape[0], self.dimension, self.dimension))
-        for i in range(self.dimension):
-            for j in range(self.dimension):
-                out[:, i, j] = self._eval_terms(self._deriv[i][j], pts)
-        return out
+    def evaluate_many(self, pts):
+        return self._jet(pts, jacobian=False)
+
+    def jet_many(self, pts):
+        return self._jet(pts, jacobian=True)
 
     def to_spec(self):
         return {
@@ -122,48 +130,28 @@ class ComplexProductField(VectorField):
         if not self.roots and not self.conj_roots:
             raise FieldError("need at least one factor")
 
-    def _factors(self, z):
-        holo = [z - a for a in self.roots]
-        anti = [np.conj(z) - np.conj(b) for b in self.conj_roots]
-        return holo, anti
+    def _factors(self, pts):
+        z = pts[:, 0] + 1j * pts[:, 1]
+        return [z - a for a in self.roots] + [np.conj(z) - np.conj(b) for b in self.conj_roots]
 
     def evaluate_many(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        z = pts[:, 0] + 1j * pts[:, 1]
-        holo, anti = self._factors(z)
-        f = np.ones_like(z)
-        for w in holo + anti:
-            f = f * w
+        f = reduce(mul, self._factors(np.asarray(pts, dtype=float)), 1.0)
         return np.column_stack([f.real, f.imag])
 
-    def jacobian_many(self, pts):
+    def jet_many(self, pts):
         pts = np.asarray(pts, dtype=float)
-        z = pts[:, 0] + 1j * pts[:, 1]
-        holo, anti = self._factors(z)
-        factors = holo + anti
-        k = len(factors)
-        # product with one factor removed, via prefix/suffix products
-        prefix = [np.ones_like(z)]
-        for w in factors:
-            prefix.append(prefix[-1] * w)
-        suffix = [np.ones_like(z)]
-        for w in reversed(factors):
-            suffix.append(suffix[-1] * w)
-        p = np.zeros_like(z)  # d/dz
-        q = np.zeros_like(z)  # d/dconj(z)
-        for i in range(k):
-            rest = prefix[i] * suffix[k - 1 - i]
-            if i < len(holo):
-                p = p + rest
-            else:
-                q = q + rest
+        factors, h = self._factors(pts), len(self.roots)
+        # the product with one factor removed, from prefix and suffix products;
+        # the last prefix is f itself
+        prefix = list(accumulate(factors, mul, initial=1.0))
+        suffix = list(accumulate(reversed(factors), mul, initial=1.0))
+        rest = [prefix[i] * suffix[-2 - i] for i in range(len(factors))]
+        p, q = reduce(add, rest[:h], 0.0), reduce(add, rest[h:], 0.0)  # d/dz, d/dconj(z)
         # f = u + iv, z = x + iy: J = [[Re(p+q), -Im(p-q)], [Im(p+q), Re(p-q)]]
-        out = np.empty((pts.shape[0], 2, 2))
-        out[:, 0, 0] = (p + q).real
-        out[:, 0, 1] = -(p - q).imag
-        out[:, 1, 0] = (p + q).imag
-        out[:, 1, 1] = (p - q).real
-        return out
+        jac = np.empty((len(pts), 2, 2))
+        jac[:, 0, 0], jac[:, 0, 1] = (p + q).real, -(p - q).imag
+        jac[:, 1, 0], jac[:, 1, 1] = (p + q).imag, (p - q).real
+        return np.column_stack([prefix[-1].real, prefix[-1].imag]), jac
 
     def to_spec(self):
         enc = lambda r: [r.real, r.imag]
@@ -178,23 +166,20 @@ class CallableField(VectorField):
     """Wrap a plain callable and its Jacobian; vectorizes per point unless batch=True."""
 
     def __init__(self, dimension, func, jac, name="callable", batch=False):
-        self.dimension = dimension
-        self.name = name
-        self._func = func
-        self._jac = jac
-        self._batch = batch
+        self.dimension, self.name = dimension, name
+        self._func, self._jac, self._batch = func, jac, batch
+
+    def _apply(self, fn, pts):
+        pts = np.asarray(pts, dtype=float)
+        if self._batch:
+            return np.asarray(fn(pts), dtype=float)
+        return np.stack([np.asarray(fn(p), dtype=float) for p in pts])
 
     def evaluate_many(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self._batch:
-            return np.asarray(self._func(pts), dtype=float)
-        return np.stack([np.asarray(self._func(p), dtype=float) for p in pts])
+        return self._apply(self._func, pts)
 
-    def jacobian_many(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self._batch:
-            return np.asarray(self._jac(pts), dtype=float)
-        return np.stack([np.asarray(self._jac(p), dtype=float) for p in pts])
+    def jet_many(self, pts):
+        return self._apply(self._func, pts), self._apply(self._jac, pts)
 
 
 def linear_field(matrix, offset=None, name="linear") -> PolynomialField:
@@ -256,20 +241,11 @@ def complex_power_field(k: int, name=None) -> ComplexProductField:
 
 def quaternion_square_field(name="quaternion-square") -> PolynomialField:
     """q -> q^2 on R^4 read as quaternions (w, x, y, z); Brouwer degree 2."""
-    w, x, y, z = range(4)
-
-    def mono(axis, power_axes):
-        e = [0, 0, 0, 0]
-        for a in power_axes:
-            e[a] += 1
-        return tuple(e)
-
     comps = [
-        [(mono(0, [w, w]), 1.0), (mono(0, [x, x]), -1.0),
-         (mono(0, [y, y]), -1.0), (mono(0, [z, z]), -1.0)],
-        [(mono(0, [w, x]), 2.0)],
-        [(mono(0, [w, y]), 2.0)],
-        [(mono(0, [w, z]), 2.0)],
+        [((2, 0, 0, 0), 1.0), ((0, 2, 0, 0), -1.0), ((0, 0, 2, 0), -1.0), ((0, 0, 0, 2), -1.0)],
+        [((1, 1, 0, 0), 2.0)],
+        [((1, 0, 1, 0), 2.0)],
+        [((1, 0, 0, 1), 2.0)],
     ]
     return PolynomialField(4, comps, name=name)
 

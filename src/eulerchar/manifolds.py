@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import BallDomain, BoxDomain
-from .fields import CallableField, VectorField
+from .fields import VectorField
 from .report import Record
 from .triangulations import chi_oracle
 from .zeros import DEDUP_SCALE, ZeroRecord, classify_zeros, locate_zeros
@@ -97,6 +97,38 @@ def _atlas_index_sum(charts, same, oracle: str, resolution) -> ClosedIndexResult
     )
 
 
+class _ChartField(VectorField):
+    """g(xi) = DP^T phi(P(xi)) / lambda^2 in one chart.  Its jet applies the chain rule
+    J_g = (H + DP^T J_phi DP) / lambda^2 + 4 g xi^T / D, D = 1 + |xi|^2, to one jet of phi,
+    where H = (4r/D^2) [(t - u.xi) I - u xi^T - xi u^T] + (16r/D^3) (u.xi - t) xi xi^T
+    is d(DP^T) phi, with u the first d components of phi and t = sign * phi_last."""
+
+    def __init__(self, sphere, field: VectorField, sign: float):
+        self.sphere, self.field, self.sign, self.dimension = sphere, field, sign, sphere.chart_dim
+        self.name = f"{field.name}@chart{'+' if sign > 0 else '-'}"
+
+    def _push(self, xi, phi):
+        dp = self.sphere.chart_frame(xi, self.sign)
+        lam2 = self.sphere.conformal_factor(xi) ** 2
+        return dp, lam2, np.einsum("pij,pi->pj", dp, phi) / lam2[:, None]
+
+    def evaluate_many(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        return self._push(xi, self.field.evaluate_many(self.sphere.chart_point(xi, self.sign)))[-1]
+
+    def jet_many(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        phi, jphi = self.field.jet_many(self.sphere.chart_point(xi, self.sign))
+        dp, lam2, g = self._push(xi, phi)
+        x = xi[:, :, None]
+        u, t = phi[:, :-1, None], self.sign * phi[:, -1:, None]
+        d, ux = 1.0 + x.mT @ x, x.mT @ u
+        h = ((t - ux) * np.eye(self.dimension) - u @ x.mT - x @ u.mT
+             + 4.0 * (ux - t) / d * (x @ x.mT)) * (4.0 * self.sphere.radius / d ** 2)
+        jac = (h + dp.mT @ jphi @ dp) / lam2[:, None, None] + 4.0 * g[:, :, None] @ x.mT / d
+        return g, jac
+
+
 class SphereManifold:
     """Round sphere S^(d) in R^(d+1) with two stereographic charts.
 
@@ -155,32 +187,8 @@ class SphereManifold:
         """Chart representation g(xi) = DP^T phi(P(xi)) / lambda^2 of an ambient field.
 
         Since DP^T m = 0, g also represents the tangential part phi - (phi . m) m.
-        The chain rule holds for any phi: J_g = (H + DP^T J_phi DP) / lambda^2 + 4 g xi^T / D,
-        D = 1 + |xi|^2,
-        where H = (4r/D^2) [(t - u.xi) I - u xi^T - xi u^T] + (16r/D^3) (u.xi - t) xi xi^T
-        is d(DP^T) phi, with u the first d components of phi and t = sign * phi_last.
         """
-
-        def terms(xi):
-            pts = self.chart_point(xi, sign)
-            phi = field.evaluate_many(pts)
-            dp = self.chart_frame(xi, sign)
-            lam2 = self.conformal_factor(xi) ** 2
-            return pts, phi, dp, lam2, np.einsum("pij,pi->pj", dp, phi) / lam2[:, None]
-
-        def jac(xi):
-            pts, phi, dp, lam2, g = terms(xi)
-            x = xi[:, :, None]
-            u, t = phi[:, :-1, None], sign * phi[:, -1:, None]
-            d, ux = 1.0 + x.mT @ x, x.mT @ u
-            h = ((t - ux) * np.eye(self.chart_dim) - u @ x.mT - x @ u.mT
-                 + 4.0 * (ux - t) / d * (x @ x.mT)) * (4.0 * self.radius / d ** 2)
-            core = dp.mT @ field.jacobian_many(pts) @ dp
-            return (h + core) / lam2[:, None, None] + 4.0 * g[:, :, None] @ x.mT / d
-
-        tag = "+" if sign > 0 else "-"
-        return CallableField(self.chart_dim, lambda xi: terms(xi)[-1], jac=jac,
-                             name=f"{field.name}@chart{tag}", batch=True)
+        return _ChartField(self, field, sign)
 
     def index_sum(self, field: VectorField, resolution: int | None = None) -> ClosedIndexResult:
         tang = self.tangency_residual(field)

@@ -9,6 +9,7 @@ dimension and validated for face closure on construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -158,5 +159,6 @@ def catalog_names() -> list:
     return sorted(_CATALOG)
 
 
+@lru_cache(maxsize=None)
 def chi_oracle(name: str) -> int:
     return catalog(name).euler_characteristic()

@@ -13,9 +13,11 @@ any oriented orthonormal tangent frame (t_j): since [s | T] is orthonormal
 with det +1, det[v | T] = s . v, so det[phi | J T] = det J det[J^-1 phi | T]
 = s . adj(J) phi.  Both sides are polynomials in J, so the identity also
 holds where J is singular.  Only the node s enters, and no tangent frame
-is built or stored.  Field calls run one fixed-size block of nodes at a
-time, in a fixed order, so memory stays bounded and reruns are
-byte-identical.
+is built.  Each fixed-size block of nodes takes phi and J from one jet
+call, in a fixed order, so memory stays bounded and reruns are
+byte-identical.  The bordered determinant is split by Laplace into two
+blocks of rows, whose minors are each built once, on contiguous per-node
+rows; like any cofactor expansion it is a polynomial in the entries.
 
 The integral climbs a ladder of rules: it starts at _LADDER_START
 nodes per axis and doubles every count at each step up to the top rule,
@@ -34,7 +36,9 @@ below, so a level reuses the field values of the one below and the
 first two come from one field call.
 
 A constant matrix P leaves the degree as sign det P times deg phi, so
-winding_number can integrate psi = P phi instead.  With P = J(z)^-1 at
+winding_number can integrate psi = P phi instead, without forming P J:
+adj(PJ) = adj(J) adj(P) and adj(P) P = det P I, so the numerator of
+psi's density is det P s . adj(J) phi.  With P = J(z)^-1 at
 a regular zero z, psi is close to x - z, whose density is nearly
 constant, and a few hundred nodes resolve it whatever the conditioning
 of J(z).
@@ -87,37 +91,54 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _det(cols):
-    """Determinant of a k x k matrix given as k columns of k entries.
+@lru_cache(maxsize=None)
+def _expansion(width: int, depth: int, zero) -> tuple:
+    """The steps of _minors: for each row d >= 1, (cols, terms) for every (d+1)-subset
+    cols of the columns, a term (c, sub, negative) being entry (d, c) times the minor
+    over sub; the entry at zero = (row, col) is 0 and has no term."""
+    return tuple(tuple((cols, tuple((cols[k], cols[:k] + cols[k + 1:], (d - k) % 2)
+                                    for k in range(d, -1, -1) if (d, cols[k]) != zero))
+                       for cols in itertools.combinations(range(width), d + 1))
+                 for d in range(1, depth))
 
-    Entries are per-node arrays (or scalars), so one call handles a whole
-    block of nodes.  Laplace expansion column by column: after column j,
-    ``minors`` holds the determinant of every (j+1)-subset of rows in the
-    first j+1 columns, each built once from the previous column's minors.
+
+def _minors(rows, zero=None) -> dict:
+    """{cols: det(rows over cols)} for every len(rows)-subset cols of the columns.
+
+    Entries are per-node arrays, so one call handles a block of nodes.  The
+    expansion runs along each row in turn and builds every minor once, from
+    the minors of the rows above it.
     """
-    k = len(cols)
-    minors = {(): 1.0}
-    for j, col in enumerate(cols):
+    minors = {(c,): entry for c, entry in enumerate(rows[0])}
+    for row, level in zip(rows[1:], _expansion(len(rows[0]), len(rows), zero)):
         nxt = {}
-        for rows in itertools.combinations(range(k), j + 1):
-            acc = 0.0
-            for pos, i in enumerate(rows):
-                term = col[i] * minors[rows[:pos] + rows[pos + 1:]]
-                if (j - pos) % 2:
-                    acc -= term
-                else:
-                    acc += term
-            nxt[rows] = acc
+        for cols, ((c, sub, negative), *rest) in level:
+            acc = -(row[c] * minors[sub]) if negative else row[c] * minors[sub]
+            for c, sub, negative in rest:  # in place: one new array per term, not two
+                (np.subtract if negative else np.add)(acc, row[c] * minors[sub], out=acc)
+            nxt[cols] = acc
         minors = nxt
-    return minors[tuple(range(k))]
+    return minors
 
 
 def _degree_density(s, phi, jac):
-    """s . adj(J) phi at each node: s (m, N), phi (m, N), jac (m, N, N)."""
-    n = s.shape[1]
-    cols = [[jac[:, i, j] for i in range(n)] + [s[:, j]] for j in range(n)]
-    cols.append([phi[:, i] for i in range(n)] + [0.0])
-    return -_det(cols)
+    """s . adj(J) phi = -det [[J, phi], [s^T, 0]] at each node: s, phi (m, N), jac (m, N, N).
+
+    The bordered determinant is split by Laplace along its first h = (N+1)//2
+    rows: it is the sum over h-subsets S of the columns of
+    (-1)^(h(h-1)/2 + sum S) det(top rows over S) det(bottom rows over the rest).
+    Every entry is a contiguous per-node row.
+    """
+    n, h = s.shape[1], (s.shape[1] + 1) // 2
+    rows = [[*r, p] for r, p in zip(np.ascontiguousarray(jac.transpose(1, 2, 0)),
+                                    np.ascontiguousarray(phi.T))]
+    rows.append([*np.ascontiguousarray(s.T), 0.0])
+    top, bottom = _minors(rows[:h]), _minors(rows[h:], zero=(n - h, n))
+    acc = 0.0
+    for cols, minor in top.items():  # summed with the signs of -det
+        term = minor * bottom[tuple(c for c in range(n + 1) if c not in cols)]
+        acc = acc + term if (h * (h - 1) // 2 + sum(cols)) % 2 else acc - term
+    return acc
 
 
 def scaled_count(count: int, scale: float) -> int:
@@ -265,8 +286,7 @@ def winding_number(field: VectorField, center, radius: float,
 
     quadrature is the top of the ladder (default: the dimension's default
     rule).  With precondition P (an invertible N x N matrix) the degree
-    is that of psi = P phi, whose Jacobian is P J_phi; the zero-on-sphere
-    check still reads |phi|.
+    is that of psi = P phi; the zero-on-sphere check still reads |phi|.
     """
     center = np.asarray(center, dtype=float)
     n = field.dimension
@@ -283,24 +303,25 @@ def winding_number(field: VectorField, center, radius: float,
                       else quadrature or default_quadrature(n))
     # in the plane a doubled trapezoid rule's even nodes are the level below
     nests = lambda k: n == 2 and counts[k][0] == 2 * counts[k - 1][0]
+    det_p = None if precondition is None else np.linalg.det(precondition)
 
     def densities(nodes):
         out = np.empty(len(nodes))
         for lo in range(0, len(nodes), BLOCK):
             s = nodes[lo:lo + BLOCK]
             pts = center[None, :] + radius * s
-            phi = field.evaluate_many(pts)
-            norms = np.linalg.norm(phi, axis=1)
-            k = int(np.argmin(norms))
-            if norms[k] <= MIN_FIELD_NORM:
+            phi, jac = field.jet_many(pts)
+            sq = np.einsum("pi,pi->p", phi, phi)
+            k = int(np.argmin(sq))
+            if sq[k] <= MIN_FIELD_NORM ** 2:
                 raise ZeroOnSphereError(
-                    f"field magnitude {norms[k]:.3e} on sphere at {pts[k].tolist()}"
+                    f"field magnitude {math.sqrt(sq[k]):.3e} on sphere at {pts[k].tolist()}"
                 )
-            jac = field.jacobian_many(pts)
-            if precondition is not None:
-                phi, jac = phi @ precondition.T, precondition @ jac
-                norms = np.linalg.norm(phi, axis=1)
-            out[lo:lo + BLOCK] = _degree_density(s, phi, jac) / norms ** n
+            dens = _degree_density(s, phi, jac)
+            if precondition is not None:  # s . adj(PJ) P phi = det P s . adj(J) phi
+                dens, psi = det_p * dens, phi @ precondition.T
+                sq = np.einsum("pi,pi->p", psi, psi)
+            out[lo:lo + BLOCK] = dens / sq ** (n / 2)
         return out
 
     scale = radius ** (n - 1) / sphere_area(n)

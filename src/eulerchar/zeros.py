@@ -2,8 +2,8 @@
 
 locate_zeros scans a coarse grid for cells where every field component
 changes sign (plus the lowest-magnitude cells as extra seeds), damped
-Newton polishes all candidates together, one batch of field calls per
-step, and duplicates are merged.  classify_zeros gives each zero it is
+Newton polishes all candidates together, one jet call per step, and
+duplicates are merged.  classify_zeros gives each zero it is
 handed a winding number from a quadrature sphere at its isolation
 radius, which every other located zero bounds.  A regular zero z is
 wound with the preconditioned field psi = J(z)^-1 phi, which is close to
@@ -108,25 +108,26 @@ def _newton(field: VectorField, seeds: np.ndarray):
     the root seed k reaches alone.
     """
     x = np.array(seeds, dtype=float)
-    fx = field.evaluate_many(x)
+    fx, jac = field.jet_many(x)
     norm = _norms(fx)
     failed = np.zeros(len(x), dtype=bool)
     for _ in range(NEWTON_MAXITER):
         live = np.flatnonzero(~failed & ~(norm <= NEWTON_TOL))
         if not live.size:
             break
-        step = _solve(field.jacobian_many(x[live]), fx[live])
+        step = _solve(jac[live], fx[live])
         finite = np.all(np.isfinite(step), axis=1)
         failed[live[~finite]] = True
         live, step = live[finite], step[finite]
         lam = 1.0
         while live.size and lam >= MIN_DAMPING:
             trial = x[live] - lam * step
-            ft = field.evaluate_many(trial)
+            ft, jt = field.jet_many(trial)  # an accepted trial's J is the next step's
             nt = _norms(ft)
             better = nt < norm[live]
             done = live[better]
             x[done], fx[done], norm[done] = trial[better], ft[better], nt[better]
+            jac[done] = jt[better]
             live, step = live[~better], step[~better]
             lam *= 0.5
         failed[live] = True
@@ -200,9 +201,8 @@ def classify_zeros(field: VectorField, roots, found, domain,
                 f"zero at {r.tolist()} within {floor:.2e} of the domain boundary"
             )
 
-    jacs = field.jacobian_many(roots)
-    dets = np.linalg.det(jacs)
-    field_norms = _norms(field.evaluate_many(roots))
+    phi, jacs = field.jet_many(roots)
+    dets, field_norms = np.linalg.det(jacs), _norms(phi)
     records = []
     for i, r in enumerate(roots):
         gaps = _norms(found - r)

@@ -21,7 +21,7 @@ import pytest
 
 from eulerchar.boundary import chi_with_boundary
 from eulerchar.domains import BallDomain
-from eulerchar.fields import linear_field
+from eulerchar.fields import VectorField, linear_field
 from eulerchar.winding import UndersampledError, default_quadrature
 from eulerchar.zeros import index_sum_with_excision
 
@@ -90,3 +90,27 @@ def test_census_index_sum_certifies(k):
 @pytest.mark.parametrize("k", COARSE_WRONG_INTEGER)
 def test_census_index_sum_certifies_at_a_coarse_rule(k):
     assert_index_sum_certifies(k, default_quadrature(4, 0.2))
+
+
+class _PointCount(VectorField):
+    """Delegates to a field and counts the points of its evaluate_many and jet_many calls."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.name, self.points = inner, inner.dimension, inner.name, 0
+
+    def evaluate_many(self, pts):
+        self.points += len(pts)
+        return self.inner.evaluate_many(pts)
+
+    def jet_many(self, pts):
+        self.points += len(pts)
+        return self.inner.jet_many(pts)
+
+
+def test_census_draw_0_evaluates_each_point_once():
+    # one jet per batch: no layer evaluates phi again at points it just evaluated
+    # (the chart Jacobians once did, for 55,505 points in all)
+    a, c = DRAWS[0]
+    field = _PointCount(linear_field(a, offset=-a @ c))
+    assert chi_with_boundary(field, BALL).chi_morse == 1
+    assert field.points <= 41_000

@@ -22,6 +22,7 @@ from eulerchar.fields import (
     saddle_field,
     torus_sines_field,
 )
+from eulerchar.manifolds import SphereManifold
 
 RNG_SEED = 8675309
 
@@ -52,7 +53,7 @@ def test_polynomial_jacobian_is_analytic():
     ])
     for _ in range(10):
         x = rng.uniform(-2, 2, size=3)
-        assert np.allclose(f.jacobian_many([x])[0], fd_jacobian(f, x), atol=1e-7)
+        assert np.allclose(f.jet_many([x])[1][0], fd_jacobian(f, x), atol=1e-7)
 
 
 def test_polynomial_component_count_checked():
@@ -63,7 +64,7 @@ def test_polynomial_component_count_checked():
 def test_linear_field_with_offset():
     f = linear_field([[0.0, 1.0], [1.0, 0.0]], offset=[5.0, -1.0])
     assert np.allclose(f.evaluate_many([[2.0, 3.0]])[0], [8.0, 1.0])
-    assert np.allclose(f.jacobian_many([[0.3, 0.4]])[0], [[0, 1], [1, 0]])
+    assert np.allclose(f.jet_many([[0.3, 0.4]])[1][0], [[0, 1], [1, 0]])
 
 
 def test_complex_product_matches_explicit_polynomial():
@@ -88,7 +89,7 @@ def test_complex_product_conjugate_factor():
 
 def test_complex_product_jacobian_finite_at_repeated_root():
     f = ComplexProductField(roots=[0.2 + 0.1j, 0.2 + 0.1j])
-    j = f.jacobian_many([[0.2, 0.1]])[0]
+    j = f.jet_many([[0.2, 0.1]])[1][0]
     assert np.all(np.isfinite(j))
     assert np.allclose(j, 0.0)  # derivative of (z-c)^2 vanishes at c
 
@@ -98,7 +99,7 @@ def test_complex_product_jacobian_matches_fd():
     rng = np.random.default_rng(RNG_SEED + 2)
     for _ in range(10):
         x = rng.uniform(-1.5, 1.5, size=2)
-        assert np.allclose(f.jacobian_many([x])[0], fd_jacobian(f, x), atol=1e-6)
+        assert np.allclose(f.jet_many([x])[1][0], fd_jacobian(f, x), atol=1e-6)
 
 
 def test_rotation_field_blocks():
@@ -115,7 +116,7 @@ def test_saddle_and_identity():
 
 def test_constant_field_jacobian_zero():
     f = constant_field([0.7, 0.4])
-    assert np.allclose(f.jacobian_many([[10.0, -3.0]])[0], np.zeros((2, 2)))
+    assert np.allclose(f.jet_many([[10.0, -3.0]])[1][0], np.zeros((2, 2)))
 
 
 def test_complex_power_degrees():
@@ -168,7 +169,7 @@ def test_torus_sines_zeros_and_jacobian():
     rng = np.random.default_rng(RNG_SEED + 5)
     for _ in range(10):
         x = rng.uniform(0, 1, size=2)
-        assert np.allclose(f.jacobian_many([x])[0], fd_jacobian(f, x), atol=1e-6)
+        assert np.allclose(f.jet_many([x])[1][0], fd_jacobian(f, x), atol=1e-6)
 
 
 def test_callable_field_requires_jacobian():
@@ -177,8 +178,46 @@ def test_callable_field_requires_jacobian():
         CallableField(2, func)
     f = CallableField(2, func, jac=lambda x: np.array([[3 * x[0] ** 2, 0.0], [x[1], x[0]]]))
     x = np.array([2.0, 1.0])
-    assert np.array_equal(f.jacobian_many([x])[0], [[12.0, 0.0], [1.0, 2.0]])
-    assert np.allclose(f.jacobian_many([x])[0], fd_jacobian(f, x), atol=1e-6)
+    assert np.array_equal(f.jet_many([x])[1][0], [[12.0, 0.0], [1.0, 2.0]])
+    assert np.allclose(f.jet_many([x])[1][0], fd_jacobian(f, x), atol=1e-6)
+
+
+def _cubic_per_point():
+    func = lambda x: np.array([x[0] ** 3 - x[1], x[0] * x[1]])
+    jac = lambda x: np.array([[3 * x[0] ** 2, -1.0], [x[1], x[0]]])
+    return CallableField(2, func, jac=jac)
+
+
+JET_CASES = {
+    "polynomial": PolynomialField(3, [
+        [((2, 0, 0), 1.0), ((0, 1, 1), -2.0), ((0, 0, 0), 0.5)],
+        [((1, 1, 0), 0.5), ((0, 0, 3), 1.0)],
+        [((0, 0, 0), 4.0), ((1, 0, 1), -1.0), ((2, 0, 2), 0.25)],
+    ]),
+    "linear": linear_field([[1.0, 2.0], [-3.0, 0.5]], offset=[0.1, -0.2]),
+    "quaternion-square": quaternion_square_field(),
+    "complex-product": ComplexProductField(roots=[1.0, -0.3 + 0.4j], conj_roots=[0.1j]),
+    "conj-power": complex_power_field(-3),
+    "callable-batch": torus_sines_field(),
+    "callable-per-point": _cubic_per_point(),
+    "chart-s2": SphereManifold(radius=1.3, center=[0.1, -0.2, 0.3]).pushforward(
+        s2_height_gradient_field(), 1.0),
+    "chart-s3": SphereManifold(ambient_dim=4).pushforward(quaternion_square_field(), -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JET_CASES))
+def test_jet_is_evaluate_many_and_the_exact_jacobian(case):
+    # phi of a jet has evaluate_many's bits; J matches central differences
+    f = JET_CASES[case]
+    pts = np.random.default_rng(RNG_SEED + 8).uniform(-1.2, 1.2, size=(40, f.dimension))
+    phi, jac = f.jet_many(pts)
+    want = f.evaluate_many(pts)
+    assert phi.shape == want.shape and phi.tobytes() == want.tobytes()
+    assert jac.shape == (40, f.dimension, f.dimension)
+    for k in range(0, 40, 8):
+        fd = fd_jacobian(f, pts[k])
+        assert np.max(np.abs(jac[k] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(jac[k])))
 
 
 def test_builtin_registry_round_trip():

@@ -1,5 +1,6 @@
 """Sphere quadrature and winding numbers, cross-checked by two oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from eulerchar.domains import BallDomain
 from eulerchar.fields import (
+    CallableField,
     ComplexProductField,
     PolynomialField,
     VectorField,
@@ -82,13 +84,48 @@ def test_degree_density_matches_tangent_frame_determinant():
             assert abs(dens[k] - ref) <= 1e-12 * scale
 
 
+def _column_laplace_density(s, phi, jac):
+    """Reference: -det([[J, phi], [s^T, 0]]) by Laplace expansion column by column."""
+    n = s.shape[1]
+    cols = [[jac[:, i, j] for i in range(n)] + [s[:, j]] for j in range(n)]
+    cols.append([phi[:, i] for i in range(n)] + [0.0])
+    minors = {(): 1.0}
+    for j, col in enumerate(cols):
+        nxt = {}
+        for rows in itertools.combinations(range(n + 1), j + 1):
+            acc = 0.0
+            for pos, i in enumerate(rows):
+                term = col[i] * minors[rows[:pos] + rows[pos + 1:]]
+                acc = acc - term if (j - pos) % 2 else acc + term
+            nxt[rows] = acc
+        minors = nxt
+    return -minors[tuple(range(n + 1))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_degree_density_matches_the_column_laplace_kernel(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    m = 200
+    s = rng.standard_normal((m, n))
+    s /= np.linalg.norm(s, axis=1)[:, None]
+    phi = rng.standard_normal((m, n))
+    jac = rng.standard_normal((m, n, n)) * rng.uniform(0.1, 10.0, size=(m, 1, 1))
+    for rank in range(n):  # row k has rank k: singular J, down to J = 0
+        u, sv, vt = np.linalg.svd(jac[rank])
+        jac[rank] = (u * np.where(np.arange(n) < rank, sv, 0.0)) @ vt
+    got, want = _degree_density(s, phi, jac), _column_laplace_density(s, phi, jac)
+    scale = np.linalg.norm(phi, axis=1) * np.linalg.norm(jac, 2, axis=(1, 2)) ** (n - 1)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(scale, 1e-300))
+    low = max(n - 1, 1)  # below rank N - 1, adj(J) = 0
+    assert np.all(np.abs(got[:low]) <= 1e-13 * scale[:low])
+
+
 def _one_shot_winding(field, center, radius, quad):
     """Reference: det([phi | J T]) over all nodes at once, one dot product."""
     rng = np.random.default_rng(RNG_SEED)
     n = quad.dimension
     pts = np.asarray(center) + radius * quad.nodes
-    phi = field.evaluate_many(pts)
-    jac = field.jacobian_many(pts)
+    phi, jac = field.jet_many(pts)
     frames = np.stack([_oriented_frame(s, rng) for s in quad.nodes])
     cols = np.concatenate([phi[:, :, None], jac @ frames], axis=2)
     dets = np.linalg.det(cols) / np.linalg.norm(phi, axis=1) ** n
@@ -254,7 +291,7 @@ def test_default_quadrature_cached_and_scaled():
 
 
 class _Tally(VectorField):
-    """A field that records the point count of every evaluate_many call."""
+    """A field that records the point count of every evaluate_many and jet_many call."""
 
     def __init__(self, field):
         self.dimension, self.name, self.field, self.calls = field.dimension, field.name, field, []
@@ -263,8 +300,9 @@ class _Tally(VectorField):
         self.calls.append(len(pts))
         return self.field.evaluate_many(pts)
 
-    def jacobian_many(self, pts):
-        return self.field.jacobian_many(pts)
+    def jet_many(self, pts):
+        self.calls.append(len(pts))
+        return self.field.jet_many(pts)
 
 
 def test_ladder_doubles_from_its_start_to_below_the_top():
@@ -332,3 +370,24 @@ def test_preconditioned_winding_is_sign_det_times_degree(n):
         (z,) = find_zeros(f, ball)
         assert z.regular and z.winding == z.eta == sign
         assert abs(z.winding_raw - sign) <= z.winding_error + 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_preconditioned_winding_is_the_winding_of_p_phi(n):
+    # s . adj(PJ) P phi = det P s . adj(J) phi: no P J is formed, and the
+    # result is that of the explicit field P phi
+    rng = np.random.default_rng(RNG_SEED + 20 + n)
+    f = {2: ComplexProductField(roots=[0.1 + 0.2j, -0.3j], conj_roots=[0.2]),
+         3: PolynomialField(3, [
+             [((2, 0, 0), 1.0), ((0, 2, 0), -1.0), ((0, 0, 1), 0.3)],
+             [((1, 1, 0), 2.0), ((0, 0, 1), -0.2)],
+             [((0, 0, 1), 1.0), ((1, 0, 0), 0.4)]]),
+         4: quaternion_square_field()}[n]
+    p = _well_conditioned(rng, n)
+    pf = CallableField(n, lambda x: f.evaluate_many(x) @ p.T,
+                       jac=lambda x: p @ f.jet_many(x)[1], batch=True)
+    center = 0.05 * rng.standard_normal(n)
+    got = winding_number(f, center, 0.8, precondition=p)
+    want = winding_number(pf, center, 0.8)
+    assert got.rounded == want.rounded != 0
+    assert abs(got.raw - want.raw) <= 1e-12 and abs(got.error - want.error) <= 1e-12

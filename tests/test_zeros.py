@@ -44,7 +44,6 @@ def test_ball_domain_geometry():
     assert abs(b.diameter - 6.0) < 1e-14
     lo, hi = b.bounding_box()
     assert np.allclose(lo, [-2.0, -5.0]) and np.allclose(hi, [4.0, 1.0])
-    assert np.allclose(b.outward_normal([4.0, -2.0]), [1.0, 0.0])
 
 
 def test_box_domain_geometry():
@@ -242,7 +241,7 @@ def _newton_one_seed(field, start):
     for _ in range(zeros.NEWTON_MAXITER):
         if norm <= zeros.NEWTON_TOL:
             return x
-        jac = field.jacobian_many([x])[0]
+        jac = field.jet_many([x])[1][0]
         try:
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
@@ -338,15 +337,15 @@ class CountingField(VectorField):
 
     def jacobian(self, x):
         self.calls["jacobian"] += 1
-        return self.inner.jacobian_many([x])[0]
+        return self.inner.jet_many([x])[1][0]
 
     def evaluate_many(self, pts):
         self.calls["evaluate_many"] += 1
         return self.inner.evaluate_many(pts)
 
-    def jacobian_many(self, pts):
-        self.calls["jacobian_many"] += 1
-        return self.inner.jacobian_many(pts)
+    def jet_many(self, pts):
+        self.calls["jet_many"] += 1
+        return self.inner.jet_many(pts)
 
 
 def test_find_zeros_makes_no_one_point_calls():
@@ -354,7 +353,7 @@ def test_find_zeros_makes_no_one_point_calls():
     zs = find_zeros(field, BallDomain((0.0,) * 4, 1.0))
     assert [z.winding for z in zs] == [2]
     assert field.calls["evaluate"] == 0 and field.calls["jacobian"] == 0
-    assert field.calls["evaluate_many"] + field.calls["jacobian_many"] <= 100
+    assert field.calls["evaluate_many"] + field.calls["jet_many"] <= 100
 
 
 def test_solve_batches_the_regular_rows_of_a_singular_batch():
