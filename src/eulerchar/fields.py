@@ -59,12 +59,19 @@ class PolynomialField(VectorField):
                 clean.append((exps, float(coeff)))
             self.components.append(tuple(clean))
         # partial derivatives, differentiated term by term
-        self._deriv = [[tuple((exps[:j] + (exps[j] - 1,) + exps[j + 1:], coeff * exps[j])
-                              for exps, coeff in terms if exps[j])
-                        for j in range(dimension)] for terms in self.components]
-        # J itself when every partial is constant, as for a linear field
-        self._constant_jac = (None if any(any(e) for row in self._deriv for t in row for e, _ in t)
-                              else [[self._eval_terms(t, None) for t in row] for row in self._deriv])
+        self._deriv = []
+        for terms in self.components:
+            row = []
+            for j in range(dimension):
+                dterms = []
+                for exps, coeff in terms:
+                    if exps[j] == 0:
+                        continue
+                    d = list(exps)
+                    d[j] -= 1
+                    dterms.append((tuple(d), coeff * exps[j]))
+                row.append(tuple(dterms))
+            self._deriv.append(row)
 
     @staticmethod
     def _eval_terms(terms, power):
@@ -87,12 +94,9 @@ class PolynomialField(VectorField):
         if not jacobian:
             return phi
         jac = np.empty((len(pts), self.dimension, self.dimension))
-        if self._constant_jac is not None:
-            jac[:] = self._constant_jac  # broadcast in one pass
-        else:
-            for i, row in enumerate(self._deriv):
-                for j, terms in enumerate(row):
-                    jac[:, i, j] = self._eval_terms(terms, power)
+        for i, row in enumerate(self._deriv):
+            for j, terms in enumerate(row):
+                jac[:, i, j] = self._eval_terms(terms, power)
         return phi, jac
 
     def evaluate_many(self, pts):
@@ -166,8 +170,11 @@ class CallableField(VectorField):
     """Wrap a plain callable and its Jacobian; vectorizes per point unless batch=True."""
 
     def __init__(self, dimension, func, jac, name="callable", batch=False):
-        self.dimension, self.name = dimension, name
-        self._func, self._jac, self._batch = func, jac, batch
+        self.dimension = dimension
+        self.name = name
+        self._func = func
+        self._jac = jac
+        self._batch = batch
 
     def _apply(self, fn, pts):
         pts = np.asarray(pts, dtype=float)
@@ -241,11 +248,20 @@ def complex_power_field(k: int, name=None) -> ComplexProductField:
 
 def quaternion_square_field(name="quaternion-square") -> PolynomialField:
     """q -> q^2 on R^4 read as quaternions (w, x, y, z); Brouwer degree 2."""
+    w, x, y, z = range(4)
+
+    def mono(axis, power_axes):
+        e = [0, 0, 0, 0]
+        for a in power_axes:
+            e[a] += 1
+        return tuple(e)
+
     comps = [
-        [((2, 0, 0, 0), 1.0), ((0, 2, 0, 0), -1.0), ((0, 0, 2, 0), -1.0), ((0, 0, 0, 2), -1.0)],
-        [((1, 1, 0, 0), 2.0)],
-        [((1, 0, 1, 0), 2.0)],
-        [((1, 0, 0, 1), 2.0)],
+        [(mono(0, [w, w]), 1.0), (mono(0, [x, x]), -1.0),
+         (mono(0, [y, y]), -1.0), (mono(0, [z, z]), -1.0)],
+        [(mono(0, [w, x]), 2.0)],
+        [(mono(0, [w, y]), 2.0)],
+        [(mono(0, [w, z]), 2.0)],
     ]
     return PolynomialField(4, comps, name=name)
 

@@ -92,17 +92,17 @@ def sphere_area(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _expansion(width: int, depth: int, zero) -> tuple:
+def _expansion(width: int, depth: int) -> tuple:
     """The steps of _minors: for each row d >= 1, (cols, terms) for every (d+1)-subset
     cols of the columns, a term (c, sub, negative) being entry (d, c) times the minor
-    over sub; the entry at zero = (row, col) is 0 and has no term."""
+    over sub."""
     return tuple(tuple((cols, tuple((cols[k], cols[:k] + cols[k + 1:], (d - k) % 2)
-                                    for k in range(d, -1, -1) if (d, cols[k]) != zero))
+                                    for k in range(d, -1, -1)))
                        for cols in itertools.combinations(range(width), d + 1))
                  for d in range(1, depth))
 
 
-def _minors(rows, zero=None) -> dict:
+def _minors(rows) -> dict:
     """{cols: det(rows over cols)} for every len(rows)-subset cols of the columns.
 
     Entries are per-node arrays, so one call handles a block of nodes.  The
@@ -110,7 +110,7 @@ def _minors(rows, zero=None) -> dict:
     the minors of the rows above it.
     """
     minors = {(c,): entry for c, entry in enumerate(rows[0])}
-    for row, level in zip(rows[1:], _expansion(len(rows[0]), len(rows), zero)):
+    for row, level in zip(rows[1:], _expansion(len(rows[0]), len(rows))):
         nxt = {}
         for cols, ((c, sub, negative), *rest) in level:
             acc = -(row[c] * minors[sub]) if negative else row[c] * minors[sub]
@@ -133,7 +133,7 @@ def _degree_density(s, phi, jac):
     rows = [[*r, p] for r, p in zip(np.ascontiguousarray(jac.transpose(1, 2, 0)),
                                     np.ascontiguousarray(phi.T))]
     rows.append([*np.ascontiguousarray(s.T), 0.0])
-    top, bottom = _minors(rows[:h]), _minors(rows[h:], zero=(n - h, n))
+    top, bottom = _minors(rows[:h]), _minors(rows[h:])
     acc = 0.0
     for cols, minor in top.items():  # summed with the signs of -det
         term = minor * bottom[tuple(c for c in range(n + 1) if c not in cols)]

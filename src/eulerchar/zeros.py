@@ -108,7 +108,7 @@ def _newton(field: VectorField, seeds: np.ndarray):
     the root seed k reaches alone.
     """
     x = np.array(seeds, dtype=float)
-    fx, jac = field.jet_many(x)
+    fx, jac = (np.array(a, dtype=float) for a in field.jet_many(x))  # copies: rows get replaced
     norm = _norms(fx)
     failed = np.zeros(len(x), dtype=bool)
     for _ in range(NEWTON_MAXITER):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eulerchar import zeros
 from eulerchar.domains import BallDomain, BoxDomain
 from eulerchar.fields import (
+    CallableField,
     ComplexProductField,
     VectorField,
     complex_power_field,
@@ -74,6 +75,22 @@ def test_offset_zero_located():
     zs = find_zeros(f, BallDomain((0.0, 0.0), 1.0))
     assert len(zs) == 1
     assert np.allclose(zs[0].location, [0.3, -0.55], atol=1e-10)
+
+
+def test_newton_leaves_read_only_jets_alone():
+    # a batch field may hand out read-only arrays, such as a broadcast constant J
+    a, b = np.array([[2.0, 1.0], [-1.0, 3.0]]), np.array([-0.2, 0.4])
+
+    def values(pts):
+        out = pts @ a.T + b
+        out.setflags(write=False)
+        return out
+
+    f = CallableField(2, values, lambda pts: np.broadcast_to(a, (len(pts), 2, 2)), batch=True)
+    zs = find_zeros(f, BallDomain((0.0, 0.0), 1.0))
+    assert len(zs) == 1
+    assert np.allclose(zs[0].location, np.linalg.solve(a, -b), atol=1e-10)
+    assert zs[0].winding == 1
 
 
 def test_no_zeros_for_constant_field():

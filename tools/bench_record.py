@@ -1,7 +1,7 @@
 """Record one checkout's benchmark figures as a BENCH_<n>.json file.
 
     python3 tools/bench_record.py --checkout DIR --commit SHA --runs RUNS.jsonl \
-                                  --out BENCH_n.json
+                                  --out BENCH_n.json [--note TEXT]
 
 RUNS.jsonl holds one line per `chibench/run.py --trace 0` run of that
 checkout, as {"workload": W, "seed": S, "result": <the run's last output
@@ -10,7 +10,8 @@ and the in-process wall times of the bundled scenarios (median of
 SCENARIO_RUNS, each `run_scenario` then `render_report`) with the sha256
 of each rendered report, both measured here on DIR, and writes the
 commit DIR holds, machine info, per-workload medians and quartiles,
-counts and scenario times and hashes to one JSON file.
+counts and scenario times and hashes to one JSON file; --note adds a
+free-text remark on the figures, such as a counter known to be wrong.
 
     python3 tools/bench_record.py --scenarios-only --checkout DIR
 
@@ -86,7 +87,7 @@ def machine() -> dict:
             "platform": platform.platform(), "threads_pinned": 1}
 
 
-def record(checkout: Path, commit: str, runs_path: Path) -> dict:
+def record(checkout: Path, commit: str, runs_path: Path, note: str | None = None) -> dict:
     runs = [json.loads(ln) for ln in runs_path.read_text().splitlines() if ln.strip()]
     workloads = {}
     for w in WORKLOADS:
@@ -108,8 +109,8 @@ def record(checkout: Path, commit: str, runs_path: Path) -> dict:
             k: v["value"] for k, v in traced["metrics"].items()}
     scen = json.loads(in_checkout(checkout, [__file__, "--scenarios-only",
                                              "--checkout", str(checkout)]))
-    return {"commit": commit, "machine": machine(), "workloads": workloads,
-            "scenarios_median_of_%d" % SCENARIO_RUNS: scen}
+    return {"commit": commit, **({"note": note} if note else {}), "machine": machine(),
+            "workloads": workloads, "scenarios_median_of_%d" % SCENARIO_RUNS: scen}
 
 
 def main(argv=None) -> int:
@@ -118,6 +119,7 @@ def main(argv=None) -> int:
     ap.add_argument("--commit")
     ap.add_argument("--runs", type=Path)
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--note")
     ap.add_argument("--scenarios-only", action="store_true")
     args = ap.parse_args(argv)
     if args.scenarios_only:
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
         return 0
     if None in (args.commit, args.runs, args.out):
         ap.error("--commit, --runs and --out are required")
-    data = record(args.checkout.resolve(), args.commit, args.runs)
+    data = record(args.checkout.resolve(), args.commit, args.runs, args.note)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
