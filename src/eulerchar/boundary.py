@@ -17,11 +17,11 @@ the two assemblies coincide; those are the endorsed families where
 chi_paper is asserted against the oracle.  For generic crossing fields
 chi_paper is reported with a flag but only chi_morse is certified.
 
-On B^2 the zeros of phi_par are the sign changes of phi . t along the
-circle, t the unit tangent, each refined by brentq.  On B^4 the two
-stereographic charts of S^3 push phi itself forward: their columns DP
-are tangent, so DP^T m = 0 and DP^T phi = DP^T phi_par, and phi_par is
-never formed.
+On B^2 and B^4 alike the zeros of phi_par come from the chart atlas of
+the boundary sphere, S^1 or S^3: its two stereographic charts push phi
+itself forward, their columns DP are tangent, so DP^T m = 0 and
+DP^T phi = DP^T phi_par, and phi_par is never formed.  On S^1 a chart
+zero is wound on the two points of S^0.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .domains import BallDomain
 from .fields import VectorField
@@ -43,8 +42,7 @@ from .zeros import _norms, find_zeros, total_index
 MIN_BOUNDARY_NORM = 1e-8
 TRANSVERSAL_EPS = 1e-3
 TANGENT_EPS = 1e-9
-CIRCLE_SAMPLES = 2048
-TOUCH_TOL = 1e-10
+SWEEP_MESH_LEVEL = {2: 9, 4: 3}  # 2,048 directions on S^1
 
 
 class BoundaryError(RuntimeError):
@@ -86,23 +84,10 @@ def alpha_angle(phi: np.ndarray, m: np.ndarray) -> list:
     return [math.acos(c) for c in np.clip(np.vecdot(phi, m) / norms, -1.0, 1.0)]
 
 
-def _boundary_samples(ball: BallDomain) -> np.ndarray:
-    n = ball.dimension
-    c = np.asarray(ball.center)
-    if n == 2:
-        th = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
-        dirs = np.column_stack([np.cos(th), np.sin(th)])
-    else:
-        dirs, _ = sphere_mesh(n, 3)
-    return c + ball.radius * dirs
-
-
 def _classify(field: VectorField, ball: BallDomain) -> list:
     """Flags from a boundary sweep of cos alpha = phi . m / |phi|."""
-    pts = _boundary_samples(ball)
-    c = np.asarray(ball.center)
-    m = (pts - c) / ball.radius
-    phi = field.evaluate_many(pts)
+    m, _ = sphere_mesh(ball.dimension, SWEEP_MESH_LEVEL[ball.dimension])
+    phi = field.evaluate_many(np.asarray(ball.center) + ball.radius * m)
     norms = np.linalg.norm(phi, axis=1)
     if norms.min() <= MIN_BOUNDARY_NORM:
         raise BoundaryError("field vanishes on the boundary sphere")
@@ -136,38 +121,11 @@ def _boundary_records(field: VectorField, ball: BallDomain, pts, windings,
     return records
 
 
-def _circle_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
-    """Isolated zeros of the 1-D boundary field f(t) = phi . tangent."""
-    c = np.asarray(ball.center)
-    r = ball.radius
-
-    def f(theta):
-        p = c + r * np.array([[math.cos(theta), math.sin(theta)]])
-        phi = field.evaluate_many(p)[0]
-        return float(-phi[0] * math.sin(theta) + phi[1] * math.cos(theta))
-
-    th = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES
-    cos, sin = np.cos(th), np.sin(th)
-    phi = field.evaluate_many(c + r * np.column_stack([cos, sin]))
-    vals = -phi[:, 0] * sin + phi[:, 1] * cos
-    roots, windings = [], []
-    for k in range(CIRCLE_SAMPLES):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:  # re-seat exact hits between samples
-            a = f(th[k] - 1e-9)
-        if a * b < 0.0:
-            roots.append(brentq(f, th[k] - 1e-9, th[k + 1], xtol=1e-14))
-            windings.append(1 if (b - a) > 0 else -1)
-        elif abs(a) < TOUCH_TOL and abs(b) < TOUCH_TOL:
-            raise BoundaryError(
-                "boundary field hugs zero without crossing; zeros not isolated"
-            )
-    pts = c + r * np.array([[math.cos(t), math.sin(t)] for t in roots]).reshape(-1, 2)
-    return _boundary_records(field, ball, pts, windings, ["circle"] * len(roots))
-
-
-def _sphere_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
-    """Zeros of phi_par on S^3: the chart atlas pushes phi forward, which sees only phi_par."""
+def boundary_zeros(field: VectorField, ball: BallDomain) -> list:
+    """Zeros of phi_par on the boundary sphere: its chart atlas pushes phi forward,
+    which sees only phi_par."""
+    if ball.dimension not in (2, 4):
+        raise BoundaryError("boundary machinery covers B^2 and B^4")
     sphere = SphereManifold(radius=ball.radius, center=np.asarray(ball.center),
                             ambient_dim=ball.dimension)
     zs = sphere.tangential_index_sum(field).zeros
@@ -175,21 +133,13 @@ def _sphere_boundary_zeros(field: VectorField, ball: BallDomain) -> list:
                              [z.chart for z in zs])
 
 
-def boundary_zeros(field: VectorField, ball: BallDomain) -> list:
-    if ball.dimension == 2:
-        return _circle_boundary_zeros(field, ball)
-    if ball.dimension == 4:
-        return _sphere_boundary_zeros(field, ball)
-    raise BoundaryError("boundary machinery covers B^2 and B^4")
-
-
 def chi_with_boundary(field: VectorField, ball: BallDomain,
                       resolution: int | None = None,
                       quadrature: SphereQuadrature | None = None) -> BoundaryReport:
     """Both chi assemblies for a field on a closed ball.
 
-    quadrature tops the interior zeros' winding ladders; the S^3 chart
-    zeros keep their fixed scan grid and rule.
+    quadrature tops the interior zeros' winding ladders; the S^1 and S^3
+    chart zeros keep their fixed scan grid and rule.
     """
     if field.dimension != ball.dimension:
         raise BoundaryError("field and ball dimensions differ")

@@ -1,10 +1,12 @@
 """Index sums over closed manifolds via chart atlases.
 
-Spheres are covered by the two stereographic charts; an ambient field
-pushes forward through the conformal chart inverse, and its windings
-are chart-independent.  The chart columns DP are tangent, so DP^T m = 0
-for the unit normal m: a chart sees only the tangential part
-phi - (phi . m) m, and needs no projection.  The flat torus has one tile,
+Spheres S^1, S^2 and S^3 are covered by the two stereographic charts;
+an ambient field pushes forward through the conformal chart inverse, and
+its windings are chart-independent.  A chart point, its differential DP
+and the conformal factor come from one call, which squares |xi| once.
+The chart columns DP are tangent, so DP^T m = 0 for the unit normal m:
+a chart sees only the tangential part phi - (phi . m) m, and needs no
+projection.  The flat torus has one tile,
 [-p/4, 5p/4]^2, whose points reduce mod the periods.  The zeros are
 first located in each chart's scan ball |xi| <= 1/0.92 + 0.05, or in the
 tile.  A zero seen twice is one point of the manifold: only its sighting
@@ -33,7 +35,7 @@ SEAM_ATTEMPTS = 1  # scans per chart or tile
 SAMPLE_SEED = 987123  # sample points of the tangency and periodicity checks
 PERIOD_TOL = 1e-9
 
-CHART_RESOLUTION = {2: 24, 3: 12}
+CHART_RESOLUTION = {1: 64, 2: 24, 3: 12}
 
 
 class ManifoldError(RuntimeError):
@@ -62,9 +64,9 @@ class ClosedIndexResult(Record):
 def _atlas_index_sum(charts, same, oracle: str, resolution) -> ClosedIndexResult:
     """Locate the zeros in every chart, then wind each zero once.
 
-    charts are (tag, field, domain, center, lift) tuples; lift maps a chart
-    point to the manifold and same(a, b) tells whether two ambient points
-    are one zero.  Of the sightings inside a chart's domain, the one
+    charts are (tag, field, domain, center, lift) tuples; lift maps chart
+    points (rows) to the manifold and same(a, b) tells whether two ambient
+    points are one zero.  Of the sightings inside a chart's domain, the one
     nearest its chart's center is classified, in that chart alone.
     """
     # sightings are (distance, chart, location, row, ambient point); ties in
@@ -72,16 +74,18 @@ def _atlas_index_sum(charts, same, oracle: str, resolution) -> ClosedIndexResult
     located, sightings = [], []
     for k, (_, field, domain, center, lift) in enumerate(charts):
         located.append(locate_zeros(field, domain, resolution))
-        sightings += [(float(np.linalg.norm(r - center)), k, tuple(r.tolist()), i, lift(r))
-                      for i, r in enumerate(located[k]) if domain.contains(r)]
+        sightings += [(float(np.linalg.norm(r - center)), k, tuple(r.tolist()), i, a)
+                      for i, (r, a) in enumerate(zip(located[k], lift(located[k])))
+                      if domain.contains(r)]
     kept = []
     for s in sorted(sightings, key=lambda s: s[:3]):
         if not any(same(s[4], q[4]) for q in kept):
             kept.append(s)
     zeros = []
-    for k, (tag, field, domain, _, lift) in enumerate(charts):
-        roots = located[k][[s[3] for s in kept if s[1] == k]]
-        zeros += [ChartZero(**vars(z), ambient=tuple(lift(np.asarray(z.location)).tolist()),
+    for k, (tag, field, domain, _, _) in enumerate(charts):
+        mine = {s[2]: s for s in kept if s[1] == k}
+        roots = located[k][[s[3] for s in mine.values()]]
+        zeros += [ChartZero(**vars(z), ambient=tuple(mine[z.location][4].tolist()),
                             chart=tag, chart_location=z.location)
                   for z in classify_zeros(field, roots, located[k], domain)]
     zeros.sort(key=lambda z: z.ambient)
@@ -107,23 +111,19 @@ class _ChartField(VectorField):
         self.sphere, self.field, self.sign, self.dimension = sphere, field, sign, sphere.chart_dim
         self.name = f"{field.name}@chart{'+' if sign > 0 else '-'}"
 
-    def _push(self, xi, phi):
-        dp = self.sphere.chart_frame(xi, self.sign)
-        lam2 = self.sphere.conformal_factor(xi) ** 2
-        return dp, lam2, np.einsum("pij,pi->pj", dp, phi) / lam2[:, None]
-
     def evaluate_many(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self._push(xi, self.field.evaluate_many(self.sphere.chart_point(xi, self.sign)))[-1]
+        pts, dp, lam2 = self.sphere.chart(np.asarray(xi, dtype=float), self.sign)
+        return np.einsum("pij,pi->pj", dp, self.field.evaluate_many(pts)) / lam2[:, None]
 
     def jet_many(self, xi):
         xi = np.asarray(xi, dtype=float)
-        phi, jphi = self.field.jet_many(self.sphere.chart_point(xi, self.sign))
-        dp, lam2, g = self._push(xi, phi)
+        pts, dp, lam2 = self.sphere.chart(xi, self.sign)
+        phi, jphi = self.field.jet_many(pts)
+        g = np.einsum("pij,pi->pj", dp, phi) / lam2[:, None]
         x = xi[:, :, None]
         u, t = phi[:, :-1, None], self.sign * phi[:, -1:, None]
         d, ux = 1.0 + x.mT @ x, x.mT @ u
-        h = ((t - ux) * np.eye(self.dimension) - u @ x.mT - x @ u.mT
+        h = ((t - ux) * self.sphere._eye - u @ x.mT - x @ u.mT
              + 4.0 * (ux - t) / d * (x @ x.mT)) * (4.0 * self.sphere.radius / d ** 2)
         jac = (h + dp.mT @ jphi @ dp) / lam2[:, None, None] + 4.0 * g[:, :, None] @ x.mT / d
         return g, jac
@@ -140,8 +140,8 @@ class SphereManifold:
     kind = "sphere"
 
     def __init__(self, radius: float = 1.0, center=None, ambient_dim: int = 3):
-        if ambient_dim not in (3, 4):
-            raise ManifoldError("spheres supported in R^3 and R^4")
+        if ambient_dim not in (2, 3, 4):
+            raise ManifoldError("spheres supported in R^2, R^3 and R^4")
         self.radius = float(radius)
         self.ambient_dim = int(ambient_dim)
         self.center = (np.zeros(ambient_dim) if center is None
@@ -150,30 +150,27 @@ class SphereManifold:
             raise ManifoldError("radius must be positive")
         if self.center.shape != (self.ambient_dim,):
             raise ManifoldError(f"center must have {self.ambient_dim} components")
+        self._eye = np.eye(self.chart_dim)
 
     @property
     def chart_dim(self) -> int:
         return self.ambient_dim - 1
 
-    def chart_point(self, xi: np.ndarray, sign: float) -> np.ndarray:
+    def chart(self, xi: np.ndarray, sign: float):
+        """Points P(xi), differentials DP (m, ambient, chart) and lambda^2 of one chart,
+        all from one |xi|^2."""
         xi = np.atleast_2d(xi)
-        rho2 = np.sum(xi * xi, axis=1)
+        rho2 = np.add.reduce(xi * xi, axis=1)
         denom = 1.0 + rho2
-        out = np.empty((xi.shape[0], self.ambient_dim))
+        out = np.empty((len(xi), self.ambient_dim))
         out[:, :-1] = 2.0 * xi / denom[:, None]
         out[:, -1] = sign * (rho2 - 1.0) / denom
-        return self.center + self.radius * out
-
-    def chart_frame(self, xi: np.ndarray, sign: float) -> np.ndarray:
-        """Batch of chart differentials DP, shape (m, ambient, chart)."""
-        xi = np.atleast_2d(xi)
-        denom = (1.0 + np.sum(xi * xi, axis=1))[:, None, None]
-        top = (np.eye(xi.shape[1]) - 2.0 * xi[:, :, None] * xi[:, None, :] / denom) * (2.0 / denom)
-        return self.radius * np.concatenate([top, sign * 4.0 * xi[:, None, :] / denom ** 2], axis=1)
-
-    def conformal_factor(self, xi: np.ndarray) -> np.ndarray:
-        rho2 = np.sum(np.atleast_2d(xi) ** 2, axis=1)
-        return 2.0 * self.radius / (1.0 + rho2)
+        d = denom[:, None, None]
+        dp = np.empty((len(xi), self.ambient_dim, self.chart_dim))
+        dp[:, :-1] = (self._eye - 2.0 * xi[:, :, None] * xi[:, None, :] / d) * (2.0 / d)
+        dp[:, -1] = sign * 4.0 * xi / (denom * denom)[:, None]
+        dp *= self.radius
+        return self.center + self.radius * out, dp, (2.0 * self.radius / denom) ** 2
 
     def tangency_residual(self, field: VectorField) -> float:
         rng = np.random.default_rng(SAMPLE_SEED)
@@ -204,13 +201,13 @@ class SphereManifold:
         origin = np.zeros(self.chart_dim)
         scan = BallDomain(origin, 1.0 / 0.92 + 0.05)
         charts = [(tag, self.pushforward(field, sign), scan, origin,
-                   lambda xi, sign=sign: self.chart_point(xi, sign)[0])
+                   lambda xi, sign=sign: self.chart(xi, sign)[0])
                   for sign, tag in ((1.0, "+"), (-1.0, "-"))]
 
         def same(a, b):
             return np.linalg.norm(np.subtract(a, b)) < DEDUP_SCALE * self.radius
 
-        return _atlas_index_sum(charts, same, "S2" if self.chart_dim == 2 else "S3",
+        return _atlas_index_sum(charts, same, f"S{self.chart_dim}",
                                 resolution or CHART_RESOLUTION[self.chart_dim])
 
 

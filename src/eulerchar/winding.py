@@ -33,7 +33,10 @@ the error falls geometrically with the node count (Trefethen &
 Weideman, SIAM Rev. 56, 2014), so it bounds the error of the finer
 level.  In the plane a doubled trapezoid rule's even nodes are the level
 below, so a level reuses the field values of the one below and the
-first two come from one field call.
+first two come from one field call.  On the line the "sphere" S^0 is the
+two points z +- r, where the density is s sign phi, so the degree
+(sign phi(z + r) - sign phi(z - r)) / 2 is exact: no ladder is climbed
+and the error is 0.
 
 A constant matrix P leaves the degree as sign det P times deg phi, so
 winding_number can integrate psi = P phi instead, without forming P J:
@@ -67,7 +70,8 @@ MAX_RESIDUAL = 0.1
 AGREE_TOL = 1e-5  # levels below the top that agree this closely end the climb
 BLOCK = 8192  # nodes per field call in winding_number
 
-# R^3 rules serve the S^3 boundary charts, whose windings need 96 x 192 nodes
+# R^3 rules serve the S^3 boundary charts, whose windings need 96 x 192 nodes;
+# the S^1 charts wind on S^0, which needs no rule
 _DEFAULT_NODES = {2: (512,), 3: (96, 192), 4: (48, 48, 96)}
 _LADDER_START = {2: (64,), 3: (6, 12), 4: (6, 6, 12)}
 _DEFAULT_MESH_LEVEL = {2: 6, 3: 4, 4: 3}
@@ -285,8 +289,9 @@ def winding_number(field: VectorField, center, radius: float,
     """Degree of phi/|phi| over the sphere |x - center| = radius.
 
     quadrature is the top of the ladder (default: the dimension's default
-    rule).  With precondition P (an invertible N x N matrix) the degree
-    is that of psi = P phi; the zero-on-sphere check still reads |phi|.
+    rule; on the line S^0 is two points and needs none).  With
+    precondition P (an invertible N x N matrix) the degree is that of
+    psi = P phi; the zero-on-sphere check still reads |phi|.
     """
     center = np.asarray(center, dtype=float)
     n = field.dimension
@@ -296,13 +301,6 @@ def winding_number(field: VectorField, center, radius: float,
         raise WindingError("radius must be positive")
     if quadrature is not None and quadrature.dimension != n:
         raise WindingError("quadrature dimension mismatch")
-    top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[n]
-    counts = ladder(n, top) + (top,)
-    # the top rule is built only if the ladder reaches it
-    rule = lambda k: (_rule(n, counts[k]) if k + 1 < len(counts)
-                      else quadrature or default_quadrature(n))
-    # in the plane a doubled trapezoid rule's even nodes are the level below
-    nests = lambda k: n == 2 and counts[k][0] == 2 * counts[k - 1][0]
     det_p = None if precondition is None else np.linalg.det(precondition)
 
     def densities(nodes):
@@ -324,6 +322,16 @@ def winding_number(field: VectorField, center, radius: float,
             out[lo:lo + BLOCK] = dens / sq ** (n / 2)
         return out
 
+    if n == 1:  # S^0 has weights 1 and area 2, and its rule is exact
+        return WindingResult.from_raw(0.5 * float(np.sum(densities(np.array([[1.0], [-1.0]])))),
+                                      center, radius, 0.0)
+    top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[n]
+    counts = ladder(n, top) + (top,)
+    # the top rule is built only if the ladder reaches it
+    rule = lambda k: (_rule(n, counts[k]) if k + 1 < len(counts)
+                      else quadrature or default_quadrature(n))
+    # in the plane a doubled trapezoid rule's even nodes are the level below
+    nests = lambda k: n == 2 and counts[k][0] == 2 * counts[k - 1][0]
     scale = radius ** (n - 1) / sphere_area(n)
     # np.sum is pairwise on one thread; a BLAS dot splits across threads
     value = lambda quad, dens: scale * float(np.sum(quad.weights * dens))

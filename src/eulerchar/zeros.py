@@ -3,12 +3,13 @@
 locate_zeros scans a coarse grid for cells where every field component
 changes sign (plus the lowest-magnitude cells as extra seeds), damped
 Newton polishes all candidates together, one jet call per step, and
-duplicates are merged.  classify_zeros gives each zero it is
-handed a winding number from a quadrature sphere at its isolation
-radius, which every other located zero bounds.  A regular zero z is
-wound with the preconditioned field psi = J(z)^-1 phi, which is close to
-x - z, so its index is sign det J(z) times deg psi, and deg psi must
-round to +1.  A degenerate zero is wound with phi itself, and that
+duplicates are merged; a seed whose full Newton step is longer than the
+domain's diameter is dropped rather than damped.  classify_zeros gives
+each zero it is handed a winding number from a quadrature sphere at its
+isolation radius, which every other located zero bounds.  A regular zero
+z is wound with the preconditioned field psi = J(z)^-1 phi, which is
+close to x - z, so its index is sign det J(z) times deg psi, and deg psi
+must round to +1.  A degenerate zero is wound with phi itself, and that
 winding is its index.  find_zeros runs both on the zeros inside one
 domain; the chart atlases of manifolds deduplicate in between.
 
@@ -100,12 +101,15 @@ def _solve(jac: np.ndarray, fx: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(field: VectorField, seeds: np.ndarray):
+def _newton(field: VectorField, seeds: np.ndarray, max_step: float):
     """Damped Newton on all seeds at once: (roots, converged) per row.
 
     Every seed runs its own iteration, halving its step until the
     residual drops; the batch only shares the field calls, so row k is
-    the root seed k reaches alone.
+    the root seed k reaches alone.  A seed fails when its full step is
+    not finite or longer than max_step, the scanned domain's diameter:
+    the linear model's root then lies outside the domain, as at a
+    non-zero minimum of |phi|, where the damped steps would only crawl.
     """
     x = np.array(seeds, dtype=float)
     fx, jac = (np.array(a, dtype=float) for a in field.jet_many(x))  # copies: rows get replaced
@@ -116,9 +120,9 @@ def _newton(field: VectorField, seeds: np.ndarray):
         if not live.size:
             break
         step = _solve(jac[live], fx[live])
-        finite = np.all(np.isfinite(step), axis=1)
-        failed[live[~finite]] = True
-        live, step = live[finite], step[finite]
+        fits = _norms(step) <= max_step  # False for a step that is not finite
+        failed[live[~fits]] = True
+        live, step = live[fits], step[fits]
         lam = 1.0
         while live.size and lam >= MIN_DAMPING:
             trial = x[live] - lam * step
@@ -181,7 +185,7 @@ def locate_zeros(field: VectorField, domain, resolution: int | None = None) -> n
     norms = np.linalg.norm(vals, axis=1)
     seeds = np.concatenate([lo + (cells + 0.5) * widths,
                             pts[np.argsort(norms)[:EXTRA_SEEDS]]])
-    x, ok = _newton(field, seeds)
+    x, ok = _newton(field, seeds, domain.diameter)
     return _distinct(x[ok], x[:0], DEDUP_SCALE * domain.diameter)
 
 

@@ -103,6 +103,38 @@ def test_boundary_zero_winding_is_crossing_sign():
     assert ws == [-1, -1, 1, 1]
 
 
+def secular_roots(a, c, c0, radius):
+    """(zero, lam) where the tangential part of A(x - c) vanishes on |x - c0| = radius.
+
+    There A(x - c) = lam (x - c0), so (A - lam I) y = w with y = x - c0 and
+    w = A (c - c0).  In the plane adj(A - lam I) = adj A - lam I, so |y| = radius
+    is the quartic |adj(A) w - lam w|^2 = radius^2 det(A - lam I)^2 in lam.
+    """
+    w = a @ (c - c0)
+    u = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) @ w
+    q = np.array([1.0, -np.trace(a), np.linalg.det(a)])
+    quartic = np.polysub([w @ w, -2.0 * u @ w, u @ u], radius ** 2 * np.polymul(q, q))
+    lams = [r.real for r in np.roots(quartic) if abs(r.imag) < 1e-9]
+    return [(c0 + (u - lam * w) / np.polyval(q, lam), lam) for lam in lams]
+
+
+def test_disk_boundary_zeros_solve_the_secular_equation():
+    rng = np.random.default_rng(2024)
+    seen = 0
+    for _ in range(12):
+        a, c = rng.normal(size=(2, 2)), 0.3 * rng.normal(size=2)
+        c0, radius = rng.uniform(-0.5, 0.5, size=2), float(rng.uniform(0.8, 2.0))
+        zs = boundary_zeros(linear_field(a, offset=-a @ c), BallDomain(c0, radius))
+        want = sorted(secular_roots(a, c, c0, radius), key=lambda r: tuple(r[0]))
+        assert len(zs) == len(want)
+        assert sum(z.winding for z in zs) == 0  # chi(S^1)
+        for z, (x, lam) in zip(zs, want):
+            assert np.max(np.abs(np.subtract(z.location, x))) < 1e-9
+            assert z.inward == (lam < 0.0)  # the normal component is lam * radius
+        seen += len(zs)
+    assert seen >= 20
+
+
 def test_outward_radial_ball4():
     rep = chi_with_boundary(identity_field(4), BALL4)
     assert rep.chi_morse == 1 == rep.chi_oracle

@@ -11,6 +11,7 @@ from eulerchar.fields import (
     constant_field,
     linear_field,
     quaternion_square_field,
+    rotation_field,
     s2_height_gradient_field,
     s2_rotation_field,
     torus_sines_field,
@@ -35,7 +36,7 @@ def test_chart_points_lie_on_sphere():
     s = SphereManifold(radius=2.0, center=[1.0, -1.0, 0.5])
     xi = rng.uniform(-2, 2, size=(40, 2))
     for sign in (1.0, -1.0):
-        pts = s.chart_point(xi, sign)
+        pts = s.chart(xi, sign)[0]
         r = np.linalg.norm(pts - np.array([1.0, -1.0, 0.5]), axis=1)
         assert np.max(np.abs(r - 2.0)) < 1e-12
 
@@ -45,15 +46,14 @@ def test_chart_frame_is_conformal():
     rng = np.random.default_rng(RNG_SEED + 1)
     s = SphereManifold(radius=1.5)
     xi = rng.uniform(-1.5, 1.5, size=(20, 2))
-    dp = s.chart_frame(xi, 1.0)
-    lam = s.conformal_factor(xi)
+    _, dp, lam2 = s.chart(xi, 1.0)
     gram = np.einsum("pij,pik->pjk", dp, dp)
-    want = lam[:, None, None] ** 2 * np.eye(2)[None, :, :]
+    want = lam2[:, None, None] * np.eye(2)[None, :, :]
     assert np.max(np.abs(gram - want)) < 1e-12
 
 
 def looped_chart_frame(sphere, xi, sign):
-    """The chart differentials filled entry by entry, as chart_frame once did."""
+    """The chart differentials filled entry by entry, as the chart frame once was."""
     m, d = xi.shape
     denom = 1.0 + np.sum(xi * xi, axis=1)
     dp = np.zeros((m, sphere.ambient_dim, d))
@@ -65,13 +65,13 @@ def looped_chart_frame(sphere, xi, sign):
     return sphere.radius * dp
 
 
-@pytest.mark.parametrize("ambient", [3, 4])
+@pytest.mark.parametrize("ambient", [2, 3, 4])
 def test_chart_frame_matches_entrywise_loop(ambient):
     rng = np.random.default_rng(RNG_SEED + 2)
     s = SphereManifold(radius=1.7, center=rng.normal(size=ambient), ambient_dim=ambient)
     xi = rng.uniform(-1.2, 1.2, size=(50, ambient - 1))
     for sign in (1.0, -1.0):
-        assert np.array_equal(s.chart_frame(xi, sign), looped_chart_frame(s, xi, sign))
+        assert np.array_equal(s.chart(xi, sign)[1], looped_chart_frame(s, xi, sign))
 
 
 def central_differences(field, pts, h=1e-6):
@@ -90,13 +90,13 @@ def assert_exact_jacobian(field, pts):
     assert gap <= 1e-8 * max(1.0, np.max(np.abs(exact))), gap
 
 
-@pytest.mark.parametrize("ambient", [3, 4])
+@pytest.mark.parametrize("ambient", [2, 3, 4])
 def test_pushforward_jacobian_is_the_chain_rule(ambient):
-    # on S^3 the field is the boundary route's: an ambient field, not tangent
+    # on S^1 and S^3 the field is the boundary route's: an ambient field, not tangent
     rng = np.random.default_rng(RNG_SEED + 4)
     s = SphereManifold(radius=1.3, center=0.3 * rng.normal(size=ambient), ambient_dim=ambient)
     field = (s2_height_gradient_field() if ambient == 3 else
-             linear_field(rng.normal(size=(4, 4)), rng.normal(size=4)))
+             linear_field(rng.normal(size=(ambient, ambient)), rng.normal(size=ambient)))
     xi = rng.uniform(-1.1, 1.1, size=(30, ambient - 1))
     for sign in (1.0, -1.0):
         assert_exact_jacobian(s.pushforward(field, sign), xi)
@@ -120,7 +120,7 @@ def projected_field(field, sphere):
     return CallableField(field.dimension, ev, jac=jac, batch=True)
 
 
-@pytest.mark.parametrize("ambient", [3, 4])
+@pytest.mark.parametrize("ambient", [2, 3, 4])
 def test_pushforward_sees_only_the_tangential_part(ambient):
     # DP^T m = 0: a chart pushes phi and phi - (phi . m) m forward alike
     rng = np.random.default_rng(RNG_SEED + 5)
@@ -145,8 +145,8 @@ def test_charts_agree_on_overlap():
     s = SphereManifold()
     xi = np.array([[0.7, 0.4]])
     inv = xi / np.sum(xi ** 2)
-    p_plus = s.chart_point(xi, 1.0)
-    p_minus = s.chart_point(inv, -1.0)
+    p_plus = s.chart(xi, 1.0)[0]
+    p_minus = s.chart(inv, -1.0)[0]
     assert np.allclose(p_plus, p_minus, atol=1e-14)
 
 
@@ -210,6 +210,20 @@ def test_sphere_in_r4_tangential_constant():
     result = s.index_sum(f)
     assert result.total == 0 == result.chi_oracle
     assert len(result.zeros) == 2
+    assert sorted(z.winding for z in result.zeros) == [-1, 1]
+
+
+def test_circle_index_sums_are_chi_of_s1():
+    # the rotation field is tangent and nowhere zero; the tangential part of
+    # e_1 - x_1 x vanishes at +-e_1 with windings summing to chi(S^1) = 0
+    s = SphereManifold(ambient_dim=2)
+    result = s.index_sum(rotation_field())
+    assert result.total == 0 == result.chi_oracle and result.agree
+    assert result.zeros == ()
+    f = linear_field(-np.eye(2), offset=[1.0, 0.0])
+    result = s.tangential_index_sum(f)
+    assert result.total == 0 and result.agree
+    assert sorted(z.ambient[0] for z in result.zeros) == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert sorted(z.winding for z in result.zeros) == [-1, 1]
 
 

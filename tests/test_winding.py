@@ -223,6 +223,13 @@ def test_winding_around_translated_zero():
     f = linear_field(np.eye(2), offset=[-0.4, 0.7])  # zero at (0.4, -0.7)
     assert winding_number(f, (0.4, -0.7), 0.5).rounded == 1
     assert winding_number(f, (5.0, 5.0), 0.5).rounded == 0
+    # on the line S^0 is the two points c +- r, and the degree
+    # (sign phi(c + r) - sign phi(c - r)) / 2 comes out exact
+    for slope, degree in ((2.0, 1), (-0.5, -1)):
+        g = linear_field([[slope]], offset=[-0.4 * slope])  # zero at 0.4
+        w = winding_number(g, (0.4,), 0.5)
+        assert (w.raw, w.rounded, w.residual, w.error) == (degree, degree, 0.0, 0.0)
+        assert winding_number(g, (5.0,), 0.5).raw == 0.0
 
 
 def test_refinement_reduces_residual():
@@ -239,6 +246,8 @@ def test_zero_on_sphere_detected():
     f = identity_field(2)
     with pytest.raises(ZeroOnSphereError):
         winding_number(f, (1.0, 0.0), 1.0)  # zero sits on the circle
+    with pytest.raises(ZeroOnSphereError):
+        winding_number(identity_field(1), (1.0,), 1.0)  # zero sits on S^0
 
 
 def test_undersampled_quadrature_rejected():
@@ -354,7 +363,7 @@ def test_top_rule_near_a_wrong_integer_is_rejected():
     assert winding_number(f, (0.0, 0.0), 1.0).rounded == 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_preconditioned_winding_is_sign_det_times_degree(n):
     rng = np.random.default_rng(RNG_SEED + 10 * n)
     ball = BallDomain((0.0,) * n, 1.0)

@@ -250,7 +250,7 @@ def test_complex_product_excision_property(picks):
     assert result.agree and result.oracle_agree
 
 
-def _newton_one_seed(field, start):
+def _newton_one_seed(field, start, max_step):
     """Reference: the per-seed damped Newton, one point per field call."""
     x = np.asarray(start, dtype=float).copy()
     fx = field.evaluate_many([x])[0]
@@ -263,7 +263,7 @@ def _newton_one_seed(field, start):
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, fx, rcond=None)
-        if not np.all(np.isfinite(step)):
+        if not np.linalg.norm(step) <= max_step:  # not finite, or the root lies outside the domain
             return None
         lam = 1.0
         while lam >= zeros.MIN_DAMPING:
@@ -280,13 +280,13 @@ def _newton_one_seed(field, start):
 
 
 def _find_zeros_seeds(monkeypatch, field, domain, resolution=None):
-    """The seed array find_zeros hands to _newton."""
+    """The seed array and step bound find_zeros hands to _newton."""
     seen = []
     real = zeros._newton
 
-    def spy(f, seeds):
-        seen.append(np.array(seeds))
-        return real(f, seeds)
+    def spy(f, seeds, max_step):
+        seen.append((np.array(seeds), max_step))
+        return real(f, seeds, max_step)
 
     with monkeypatch.context() as m:
         m.setattr(zeros, "_newton", spy)
@@ -305,6 +305,9 @@ NEWTON_CASES = {
                     BallDomain((0.0, 0.0), 2.0), None),
     "sphere-chart": (_SPHERE.pushforward(s2_height_gradient_field(), 1.0),
                      _CHART_SCAN, CHART_RESOLUTION[2]),
+    "circle-chart": (SphereManifold(radius=1.8, center=[-0.44, 0.14], ambient_dim=2).pushforward(
+        ComplexProductField(roots=[-0.5 - 0.64j], conj_roots=[-0.04 + 0.29j]), 1.0),
+        BallDomain((0.0,), 1.0 / 0.92 + 0.05), CHART_RESOLUTION[1]),  # drops 5 runaway steps
     "torus-sines": (torus_sines_field(), BoxDomain((0.13, 0.29), (1.13, 1.29)), None),
     "constant": (constant_field([0.5, 0.5]), BallDomain((0.0, 0.0), 1.0), None),
 }
@@ -313,7 +316,8 @@ NEWTON_CASES = {
 @pytest.mark.parametrize("case", sorted(NEWTON_CASES))
 def test_batched_newton_matches_per_seed(case, monkeypatch):
     field, domain, res = NEWTON_CASES[case]
-    seeds = _find_zeros_seeds(monkeypatch, field, domain, res)
+    seeds, max_step = _find_zeros_seeds(monkeypatch, field, domain, res)
+    assert max_step == domain.diameter
     lstsq_calls = []
     real_lstsq = np.linalg.lstsq
 
@@ -323,10 +327,10 @@ def test_batched_newton_matches_per_seed(case, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", counting_lstsq)
-        roots, converged = zeros._newton(field, seeds)
+        roots, converged = zeros._newton(field, seeds, max_step)
     assert roots.shape == seeds.shape
     for k, seed in enumerate(seeds):
-        want = _newton_one_seed(field, seed)
+        want = _newton_one_seed(field, seed, max_step)
         if want is None:
             assert not converged[k]
         else:
@@ -337,6 +341,19 @@ def test_batched_newton_matches_per_seed(case, monkeypatch):
         assert converged.any()
     if case == "quaternion-square":
         assert lstsq_calls  # singular Jacobians took the least-squares path
+
+
+def test_newton_drops_a_seed_whose_step_leaves_the_domain():
+    # x^2 + 1 has a non-zero minimum at 0; from 0.01 the full step is 50
+    def jet_calls(max_step):
+        field = CountingField(CallableField(1, lambda pts: pts ** 2 + 1.0,
+                                            jac=lambda pts: 2.0 * pts[:, :, None], batch=True))
+        roots, converged = zeros._newton(field, np.array([[0.01]]), max_step)
+        assert not converged.any()
+        return field.calls["jet_many"], roots[0, 0]
+
+    assert jet_calls(2.0) == (1, 0.01)  # dropped before its first trial
+    assert jet_calls(np.inf)[0] > 10  # unbounded, the damped steps crawl
 
 
 class CountingField(VectorField):
