@@ -55,6 +55,7 @@ class BoundaryZeroRecord(Record):
 
     location: tuple          # ambient coordinates
     winding: int             # index of phi_par within the boundary
+    winding_error: float     # gap between the last two quadrature levels
     inward: bool             # full field points into the domain here
     alpha: float             # angle of phi from the outward normal
     normal_component: float  # phi . m at the zero
@@ -101,36 +102,29 @@ def _classify(field: VectorField, ball: BallDomain) -> list:
     return []
 
 
-def _boundary_records(field: VectorField, ball: BallDomain, pts, windings,
-                      charts) -> list:
-    """BoundaryZeroRecords of boundary points (k, N), from one field call, sorted by location."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, ball.dimension)
-    phi = np.ascontiguousarray(field.evaluate_many(pts))  # so vecdot gives each row np.dot's bits
-    v = pts - np.asarray(ball.center)
-    m = v / _norms(v)[:, None]
-    normal_comps = np.vecdot(phi, m)
-    records = [BoundaryZeroRecord(
-        location=tuple(p.tolist()),
-        winding=w,
-        inward=bool(nc < 0.0),
-        alpha=a,
-        normal_component=float(nc),
-        chart=chart,
-    ) for p, w, nc, a, chart in zip(pts, windings, normal_comps, alpha_angle(phi, m), charts)]
-    records.sort(key=lambda z: z.location)
-    return records
-
-
 def boundary_zeros(field: VectorField, ball: BallDomain) -> list:
-    """Zeros of phi_par on the boundary sphere: its chart atlas pushes phi forward,
-    which sees only phi_par."""
+    """Zeros of phi_par on the boundary sphere, sorted by location, with phi from one
+    field call: its chart atlas pushes phi forward, which sees only phi_par."""
     if ball.dimension not in (2, 4):
         raise BoundaryError("boundary machinery covers B^2 and B^4")
     sphere = SphereManifold(radius=ball.radius, center=np.asarray(ball.center),
                             ambient_dim=ball.dimension)
-    zs = sphere.tangential_index_sum(field).zeros
-    return _boundary_records(field, ball, [z.ambient for z in zs], [z.winding for z in zs],
-                             [z.chart for z in zs])
+    zeros = sphere.tangential_index_sum(field).zeros
+    pts = np.array([z.ambient for z in zeros], dtype=float).reshape(-1, ball.dimension)
+    phi = np.ascontiguousarray(field.evaluate_many(pts))  # so vecdot gives each row np.dot's bits
+    v = pts - np.asarray(ball.center)
+    m = v / _norms(v)[:, None]
+    records = [BoundaryZeroRecord(
+        location=tuple(p.tolist()),
+        winding=z.winding,
+        winding_error=z.winding_error,
+        inward=bool(nc < 0.0),
+        alpha=a,
+        normal_component=float(nc),
+        chart=z.chart,
+    ) for p, z, nc, a in zip(pts, zeros, np.vecdot(phi, m), alpha_angle(phi, m))]
+    records.sort(key=lambda z: z.location)
+    return records
 
 
 def chi_with_boundary(field: VectorField, ball: BallDomain,

@@ -261,14 +261,7 @@ def _run_flatness(sc, scale, assert_paper):
         "max_grade2_leakage": rep.max_grade2_leakage,
         "step": rep.step,
         "expected_winding": k,
-        "flux": {
-            "singular_point": list(flux.singular_point),
-            "loop_radius": flux.loop_radius,
-            "value": flux.flux,
-            "quantum": flux.quantum,
-            "quantum_rounded": flux.quantum_rounded,
-            "residual": flux.residual,
-        },
+        "flux": flux.to_dict(),
         "agree": agree,
     }
     return row, payload

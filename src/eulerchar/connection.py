@@ -22,6 +22,8 @@ Every derivative, the curvature's stencil of stencils too, reads the
 frame from one FrameField.frame call on the distinct points of its
 stencil x, x +/- h e_mu, matched by their bytes: (x + h e_mu) - h e_mu
 may differ from x in the last bit, and keeps the frame it gets alone.
+The holonomy flux is a trapezoid rule on a loop whose quantum climbs the
+nested levels of winding.climb; the gap of the last two is its error.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .clifford import (
     exp,
     versor_frame,
 )
+from .report import Record
+from .winding import azimuth_rule, climb, ladder
 
 DEFAULT_STEP = 1e-4
 FRAME_TOL = 1e-9
@@ -310,13 +314,14 @@ def curvature(conn_fn, x, h: float = DEFAULT_STEP) -> CurvatureSample:
 
 
 @dataclass(frozen=True)
-class FluxResult:
+class FluxResult(Record):
     singular_point: tuple
     loop_radius: float
     flux: float
     quantum: float        # flux / (2 pi)
     quantum_rounded: int
     residual: float
+    error: float          # gap between the last two ladder levels
 
 
 @dataclass(frozen=True)
@@ -342,29 +347,38 @@ def holonomy_flux(ff: FrameField, singular_point, loop_radius: float,
     """Loop integral of -2 * (gamma_1 gamma_2 component of omega_0).
 
     Counterclockwise around a planar frame singularity this is the total
-    frame turning angle, 2 pi times the winding.
+    frame turning angle, 2 pi times the winding.  segments tops the ladder.
     """
     if ff.dimension != 2:
         raise ChartError("holonomy flux loops are planar")
     z = np.asarray(singular_point, dtype=float)
+
     # parametric trapezoid rule: spectrally accurate for the smooth
     # periodic integrand omega(x(t)) . x'(t)
-    theta = 2.0 * math.pi * np.arange(segments) / segments
-    pts = z[None, :] + loop_radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    tangents = loop_radius * np.column_stack([-np.sin(theta), np.cos(theta)])
-    sample = pseudo_flat_connection(ff, pts, h)
-    g12 = np.stack([w.coeffs[:, 0b11] for w in sample.omegas], axis=-1)
-    # a sequential sum, point-major then mu: the order of a loop over points
-    total = float(np.cumsum(-2.0 * g12 * tangents)[-1])
-    total *= 2.0 * math.pi / segments
-    quantum = total / (2.0 * math.pi)
+    def integrand(theta):
+        pts = z[None, :] + loop_radius * np.column_stack([np.cos(theta), np.sin(theta)])
+        tangents = loop_radius * np.column_stack([-np.sin(theta), np.cos(theta)])
+        omegas = pseudo_flat_connection(ff, pts, h).omegas
+        g12 = np.stack([w.coeffs[:, 0b11] for w in omegas], axis=-1)
+        return -2.0 * g12 * tangents
+
+    totals = []
+
+    def quantum(weights, samples):
+        # a sequential sum, point-major then mu: the order of a loop over points
+        totals.append(float(np.cumsum(samples)[-1] * weights[0]))
+        return totals[-1] / (2.0 * math.pi)
+
+    value, error, _ = climb(ladder((segments,), (64,)), lambda counts: azimuth_rule(*counts),
+                            integrand, quantum, nests=True)
     return FluxResult(
         singular_point=tuple(z.tolist()),
         loop_radius=float(loop_radius),
-        flux=float(total),
-        quantum=float(quantum),
-        quantum_rounded=int(round(quantum)),
-        residual=float(quantum - round(quantum)),
+        flux=totals[-1],
+        quantum=value,
+        quantum_rounded=round(value),
+        residual=value - round(value),
+        error=error,
     )
 
 

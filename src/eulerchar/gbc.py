@@ -14,7 +14,9 @@ stays vectorized.
 
 Catalog manifolds (round spheres, flat and embedded tori) supply exact
 frame curvatures and volume densities on explicit charts, so the
-quadrature is the only approximation in this route.
+quadrature is the only approximation in this route.  Its top rule is
+the chart's per-axis rules at the manifold's node counts, and
+integrate_euler certifies chi by a climb up to it (winding.climb).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import permutations
 import numpy as np
 
 from .report import Record
-from .winding import azimuth_rule, polar_rule, scaled_count, tensor_rule
+from .winding import azimuth_rule, climb, ladder, polar_rule, scaled_count, tensor_rule
 
 MAX_PFAFFIAN_SIZE = 8
 CHUNK = 8192
@@ -134,15 +136,13 @@ def euler_density_value(f: np.ndarray):
 class CurvedManifold:
     """Chart, volume density, and frame curvature of a catalog manifold.
 
-    ``oracle`` names the reference triangulation with the same chi.
+    ``oracle`` names the reference triangulation with the same chi, and
+    ``axes`` the chart's per-axis rules, with ``top`` nodes at scale 1.
     """
 
     name = "manifold"
     dimension = 2
     oracle = None
-
-    def quadrature(self, scale: float = 1.0):
-        raise NotImplementedError
 
     def sqrt_g(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -173,16 +173,13 @@ class RoundSphere2(CurvedManifold):
 
     dimension = 2
     oracle = "S2"
+    axes, top = (polar_rule, azimuth_rule), (64, 128)
 
     def __init__(self, radius: float = 1.0):
         if radius <= 0:
             raise GbcError("radius must be positive")
         self.radius = float(radius)
         self.name = f"s2(r={self.radius:g})"
-
-    def quadrature(self, scale=1.0):
-        return tensor_rule([polar_rule(scaled_count(64, scale)),
-                            azimuth_rule(scaled_count(128, scale))])
 
     def sqrt_g(self, pts):
         return self.radius ** 2 * np.sin(pts[:, 0])
@@ -198,21 +195,17 @@ class RoundSphere2(CurvedManifold):
 
 
 class FlatTorusMetric(CurvedManifold):
-    """Flat T^2: zero curvature on the periodic unit-square chart."""
+    """Flat unit-area T^2: zero curvature on the periodic angle chart [0, 2pi)^2."""
 
     dimension = 2
     oracle = "T2"
+    axes, top = (azimuth_rule, azimuth_rule), (64, 64)
 
     def __init__(self):
         self.name = "torus-flat"
 
-    def quadrature(self, scale=1.0):
-        cnt = scaled_count(64, scale)
-        unit = (np.arange(cnt) / cnt, np.full(cnt, 1.0 / cnt))
-        return tensor_rule([unit, unit])
-
     def sqrt_g(self, pts):
-        return np.ones(pts.shape[0])
+        return np.full(pts.shape[0], (0.5 / math.pi) ** 2)
 
     def curvature_constant(self):
         return np.zeros((2, 2, 2, 2))
@@ -228,6 +221,7 @@ class EmbeddedTorus(CurvedManifold):
 
     dimension = 2
     oracle = "T2"
+    axes, top = (azimuth_rule, azimuth_rule), (96, 96)
 
     def __init__(self, big_radius: float = 2.0, small_radius: float = 1.0):
         if small_radius <= 0 or big_radius <= small_radius:
@@ -235,9 +229,6 @@ class EmbeddedTorus(CurvedManifold):
         self.big_radius = float(big_radius)
         self.small_radius = float(small_radius)
         self.name = f"torus-embedded(R={self.big_radius:g},r={self.small_radius:g})"
-
-    def quadrature(self, scale=1.0):
-        return tensor_rule([azimuth_rule(scaled_count(96, scale))] * 2)
 
     def sqrt_g(self, pts):
         return self.small_radius * (self.big_radius
@@ -259,16 +250,13 @@ class RoundSphere4(CurvedManifold):
 
     dimension = 4
     oracle = "S4"
+    axes, top = (polar_rule,) * 3 + (azimuth_rule,), (16, 16, 16, 32)
 
     def __init__(self, radius: float = 1.0):
         if radius <= 0:
             raise GbcError("radius must be positive")
         self.radius = float(radius)
         self.name = f"s4(r={self.radius:g})"
-
-    def quadrature(self, scale=1.0):
-        return tensor_rule([polar_rule(scaled_count(16, scale))] * 3
-                           + [azimuth_rule(scaled_count(32, scale))])
 
     def sqrt_g(self, pts):
         return (self.radius ** 4 * np.sin(pts[:, 0]) ** 3
@@ -287,30 +275,33 @@ class GbcResult(Record):
     raw: float
     rounded: int
     residual: float
-    nodes: int
+    error: float     # gap between the last two ladder levels
+    nodes: int       # every node evaluated over the climb
     scale: float
 
 
-def integrate_euler(manifold: CurvedManifold, scale: float = 1.0,
-                    max_residual: float = 0.1) -> GbcResult:
-    """chi = integral of the Euler density over the manifold."""
-    pts, wts = manifold.quadrature(scale)
-    dens = manifold.euler_density(pts)
-    # np.sum is pairwise on one thread; a BLAS dot splits across threads
-    raw = float(np.sum(wts * (dens * manifold.sqrt_g(pts))))
+@lru_cache(maxsize=16)
+def chart_rule(axes: tuple, counts: tuple):
+    """Tensor product (points, weights) of the per-axis rules axes at counts nodes."""
+    return tensor_rule([axis(c) for axis, c in zip(axes, counts)])
+
+
+def integrate_euler(manifold: CurvedManifold, scale: float = 1.0) -> GbcResult:
+    """chi = integral of the Euler density, by a climb to the top rule at scale."""
+    top = tuple(scaled_count(c, scale) for c in manifold.top)
+    raw, error, nodes = climb(  # each level keeps 4 nodes per axis, scaled_count's floor
+        ladder(top, (4,) * len(top)), lambda counts: chart_rule(manifold.axes, counts),
+        lambda pts: manifold.euler_density(pts) * manifold.sqrt_g(pts),
+        # np.sum is pairwise on one thread; a BLAS dot splits across threads
+        lambda weights, dens: float(np.sum(weights * dens)))
     rounded = int(round(raw))
-    residual = raw - rounded
-    if abs(residual) > max_residual:
-        raise GbcError(
-            f"integral {raw:.6f} is {residual:+.4f} from an integer; "
-            "refine the quadrature"
-        )
     return GbcResult(
         manifold=manifold.name,
         raw=raw,
         rounded=rounded,
-        residual=float(residual),
-        nodes=int(pts.shape[0]),
+        residual=raw - rounded,
+        error=error,
+        nodes=nodes,
         scale=float(scale),
     )
 

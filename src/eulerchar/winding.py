@@ -19,22 +19,23 @@ byte-identical.  The bordered determinant is split by Laplace into two
 blocks of rows, whose minors are each built once, on contiguous per-node
 rows; like any cofactor expansion it is a polynomial in the entries.
 
-The integral climbs a ladder of rules: it starts at _LADDER_START
-nodes per axis and doubles every count at each step up to the top rule,
-the one the caller passes or the default.  Below the top it stops as
-soon as two consecutive levels agree to AGREE_TOL at a value within
-MAX_RESIDUAL of an integer; levels that agree off an integer mean a zero
-on or near the sphere, so the climb goes on.  At the top the result
-stands if it lies within MAX_RESIDUAL of an integer and the level below
-agrees with it to within MAX_RESIDUAL; otherwise, and on a rule with no
-level below it, UndersampledError.  The gap between the last two levels
-is the result's error estimate: for these analytic, periodic integrands
-the error falls geometrically with the node count (Trefethen &
-Weideman, SIAM Rev. 56, 2014), so it bounds the error of the finer
-level.  In the plane a doubled trapezoid rule's even nodes are the level
-below, so a level reuses the field values of the one below and the
-first two come from one field call.  On the line the "sphere" S^0 is the
-two points z +- r, where the density is s sign phi, so the degree
+The integral climbs a ladder of rules, as the quadratures of gbc and
+connection do, through climb: level k below the top rule (the caller's
+or the default) has ceil(top / 2^k) nodes per axis, down to
+_LADDER_START.  Below the top the climb stops as soon as two
+consecutive levels agree to AGREE_TOL at a value within MAX_RESIDUAL of
+an integer; levels that agree off an integer mean a zero on or near the
+sphere, so the climb goes on.  At the top the result stands if it lies
+within MAX_RESIDUAL of an integer and the level below agrees with it to
+within MAX_RESIDUAL; otherwise, and on a rule with no level below it,
+UndersampledError.  The gap between the last two levels is the result's
+error estimate: for these analytic, periodic integrands the error falls
+geometrically with the node count (Trefethen & Weideman, SIAM Rev. 56,
+2014), so it bounds the error of the finer level.  In the plane a
+doubled trapezoid rule's even nodes are the level below, so a level
+reuses the field values of the one below and the first two come from
+one field call.  On the line the "sphere" S^0 is the two points z +- r,
+where the density is s sign phi, so the degree
 (sign phi(z + r) - sign phi(z - r)) / 2 is exact: no ladder is climbed
 and the error is 0.
 
@@ -235,30 +236,60 @@ def _rule(dimension: int, counts: tuple) -> SphereQuadrature:
     return SphereQuadrature.build(dimension, counts=counts)
 
 
-@lru_cache(maxsize=32)
-def ladder(dimension: int, top: tuple) -> tuple:
-    """Node counts of the rules below the top rule's counts, coarsest first.
+@lru_cache(maxsize=64)
+def ladder(top: tuple, start: tuple) -> tuple:
+    """Node counts of a climb's levels, coarsest first and top last: level k below
+    the top has ceil(top / 2^k) per axis.  Below the first halving every axis keeps
+    start, and a halving that repeats an axis count of the level above ends it."""
+    levels = [tuple(top)]
+    for k in itertools.count(1):
+        counts = tuple(-(-t // 2 ** k) for t in top)
+        if (any(c == a for c, a in zip(counts, levels[-1]))
+                or k > 1 and any(c < s for c, s in zip(counts, start))):
+            return tuple(reversed(levels))
+        levels.append(counts)
 
-    Level k has min(start * 2^k, top) nodes per axis.  start is
-    _LADDER_START, or half the top count where that is less, so a coarse
-    top rule still gets a level below it; a level equal to the one
-    before, or to the top, is left out.
-    """
-    start = [max(1, min(s, t // 2)) for s, t in zip(_LADDER_START[dimension], top)]
-    levels, k = [], 0
-    while True:
-        counts = tuple(min(s << k, t) for s, t in zip(start, top))
-        if counts == top:
-            return tuple(levels)
-        if not levels or counts != levels[-1]:
-            levels.append(counts)
-        k += 1
+
+def climb(levels, build, sample, value, nests: bool = False) -> tuple:
+    """(value, error, nodes sampled) of the first of levels (node counts, coarsest
+    first) to certify an integer, as the module docstring says.  build(counts) is a
+    level's (nodes, weights), sample(nodes) the integrand at each node and
+    value(weights, samples) the level's value.  Where levels nest, a one-axis
+    level of twice the nodes below samples only its odd nodes."""
+    doubles = lambda k: nests and len(levels[k]) == 1 and levels[k][0] == 2 * levels[k - 1][0]
+    values, samples, nodes = [], None, 0
+    for k in range(1 if len(levels) > 1 and doubles(1) else 0, len(levels)):
+        pts, wts = build(levels[k])
+        reuse = samples is not None and doubles(k)
+        fresh = sample(pts[1::2] if reuse else pts)
+        nodes += len(fresh)
+        if reuse:
+            samples, below = np.empty((len(pts),) + fresh.shape[1:]), samples
+            samples[::2], samples[1::2] = below, fresh
+        else:
+            samples = fresh
+        if not values and k:  # the level below is the even nodes
+            values.append(value(build(levels[k - 1])[1], samples[::2]))
+        values.append(value(wts, samples))
+        if len(values) > 1:
+            gap, off = abs(values[-1] - values[-2]), values[-1] - round(values[-1])
+            # below the top, agreement off an integer means a nearby singularity: climb on
+            if abs(off) <= MAX_RESIDUAL and gap <= (AGREE_TOL if k + 1 < len(levels)
+                                                    else MAX_RESIDUAL):
+                return values[-1], gap, nodes
+    top = math.prod(levels[-1])
+    if len(values) < 2:
+        raise UndersampledError(f"not certified: the rule of {top} nodes has no level "
+                                "below it; refine the quadrature")
+    raise UndersampledError(
+        f"value {values[-1]:.6f} is {off:+.3f} from an integer and {gap:.1e} from the "
+        f"level below the top rule of {top} nodes; refine the quadrature")
 
 
 def coarsest_rule(dimension: int, quadrature: SphereQuadrature | None = None) -> SphereQuadrature:
     """The first rule of winding_number's ladder under the top rule quadrature."""
     top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[dimension]
-    return _rule(dimension, (ladder(dimension, top) + (top,))[0])
+    return _rule(dimension, ladder(top, _LADDER_START[dimension])[0])
 
 
 @dataclass(frozen=True)
@@ -326,45 +357,17 @@ def winding_number(field: VectorField, center, radius: float,
         return WindingResult.from_raw(0.5 * float(np.sum(densities(np.array([[1.0], [-1.0]])))),
                                       center, radius, 0.0)
     top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[n]
-    counts = ladder(n, top) + (top,)
-    # the top rule is built only if the ladder reaches it
-    rule = lambda k: (_rule(n, counts[k]) if k + 1 < len(counts)
-                      else quadrature or default_quadrature(n))
-    # in the plane a doubled trapezoid rule's even nodes are the level below
-    nests = lambda k: n == 2 and counts[k][0] == 2 * counts[k - 1][0]
+
+    def build(counts):  # the top rule is built only if the climb reaches it
+        quad = (quadrature or default_quadrature(n)) if counts == top else _rule(n, counts)
+        return quad.nodes, quad.weights
+
     scale = radius ** (n - 1) / sphere_area(n)
     # np.sum is pairwise on one thread; a BLAS dot splits across threads
-    value = lambda quad, dens: scale * float(np.sum(quad.weights * dens))
-    first = 1 if len(counts) > 1 and nests(1) else 0  # one field call for both
-    values, dens = [], None
-    for k in range(first, len(counts)):
-        quad = rule(k)
-        if dens is not None and nests(k):
-            fine = np.empty(quad.size)
-            fine[::2], fine[1::2] = dens, densities(quad.nodes[1::2])
-            dens = fine
-        else:
-            dens = densities(quad.nodes)
-        if not values and k:
-            values.append(value(rule(k - 1), dens[::2]))
-        values.append(value(quad, dens))
-        if len(values) > 1:
-            gap, off = abs(values[-1] - values[-2]), values[-1] - round(values[-1])
-            # below the top, levels agreeing off an integer mean a zero on or near
-            # the sphere: climb on
-            if abs(off) <= MAX_RESIDUAL and gap <= (AGREE_TOL if k + 1 < len(counts)
-                                                    else MAX_RESIDUAL):
-                return WindingResult.from_raw(values[-1], center, radius, gap)
-    if len(values) < 2:
-        raise UndersampledError(
-            f"winding not certified: the rule of {math.prod(top)} nodes has no level "
-            "below it; refine the quadrature"
-        )
-    raise UndersampledError(
-        f"winding {values[-1]:.6f} is {off:+.3f} from an integer and {gap:.1e} from "
-        f"the level below the top rule of {math.prod(top)} nodes; refine the "
-        "quadrature or shrink the sphere"
-    )
+    raw, error, _ = climb(ladder(top, _LADDER_START[n]), build, densities,
+                          lambda weights, dens: scale * float(np.sum(weights * dens)),
+                          nests=n == 2)
+    return WindingResult.from_raw(raw, center, radius, error)
 
 
 def oracle_degree_anglesum(field: VectorField, center, radius: float,
@@ -403,12 +406,8 @@ def oracle_degree_anglesum(field: VectorField, center, radius: float,
 
 
 def _split_simplex(cell, midpoint):
-    """Subdivide one simplex (tuple of vertex ids) into 2^dim children."""
+    """Subdivide one triangle or tetrahedron (tuple of vertex ids) into 2^dim children."""
     k = len(cell)
-    if k == 2:
-        a, b = cell
-        m = midpoint(a, b)
-        return [(a, m), (m, b)]
     if k == 3:
         a, b, c = cell
         ab, ac, bc = midpoint(a, b), midpoint(a, c), midpoint(b, c)
@@ -438,11 +437,17 @@ def sphere_mesh(dimension: int, level: int):
     """(vertices, cells) triangulating S^(dimension-1), outward oriented.
 
     Starts from the boundary of the cross-polytope (the unit ball of the
-    1-norm) and refines by edge bisection, reprojecting to the sphere.
+    1-norm) and refines by edge bisection, reprojecting to the sphere; on
+    the circle that gives the 4 * 2^level angles 2 pi k / M, built directly.
     Cells are vertex-id tuples ordered so det([v_0 ... v_{N-1}]) > 0.
     """
     if dimension not in (2, 3, 4):
         raise WindingError(f"no sphere mesh for dimension {dimension}")
+    if dimension == 2:
+        angles = azimuth_rule(4 << level)[0]
+        ids = np.arange(len(angles))
+        return (np.column_stack([np.cos(angles), np.sin(angles)]),
+                np.column_stack([ids, np.roll(ids, -1)]))
     verts = [np.zeros(dimension) for _ in range(2 * dimension)]
     for a in range(dimension):
         verts[2 * a][a] = 1.0

@@ -268,6 +268,7 @@ class ExcisionResult(Record):
     zero_sum: int
     enclosing_winding: int
     enclosing_raw: float
+    enclosing_error: float  # gap between the last two quadrature levels
     agree: bool
     oracle_degree: int
     oracle_agree: bool
@@ -295,6 +296,7 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
         zero_sum=zero_sum,
         enclosing_winding=enclosing,
         enclosing_raw=sign * big.raw,
+        enclosing_error=big.error,
         agree=zero_sum == enclosing,
         oracle_degree=deg,
         oracle_agree=deg == enclosing,

@@ -13,7 +13,9 @@ The same draws also go through the index-sum route.  The plain winding
 of the enclosing sphere could not certify 61 of them (cond(A) from 13
 to 7,537); its affine-fit preconditioner certifies them all, at the
 default rule and at the coarse rule of resolution scale 0.2, where the
-plain winding certified 0 for draws 50 and 128.
+plain winding certified 0 for draws 50 and 128.  At that scale four draws
+say they cannot: the top rule's level below shares no axis count with it,
+and their enclosing windings read 0.10 to 0.16 apart on the two.
 """
 
 import numpy as np
@@ -42,13 +44,17 @@ ENCLOSING_UNDERSAMPLED = (2, 4, 6, 7, 11, 14, 22, 24, 30, 37, 46, 50, 51, 57, 59
                           191, 192, 195)
 # at resolution scale 0.2 the plain enclosing winding certified 0 for these
 COARSE_WRONG_INTEGER = (50, 128)
+# at resolution scale 0.2 the fit-preconditioned enclosing winding reads 0.990-1.002
+# at the top rule (10, 10, 19) and 0.10-0.16 from that at (5, 5, 10), the level below
+COARSE_UNDERSAMPLED = (38, 122, 167, 183)
 
 
 def _draws():
     rng = np.random.default_rng(1)
     out = []
     for _ in range(max(INTERIOR_UNDERSAMPLED + WRONG_INTEGER + BOUNDARY_UNDERSAMPLED
-                       + STILL_UNCERTIFIED + ENCLOSING_UNDERSAMPLED) + 1):
+                       + STILL_UNCERTIFIED + ENCLOSING_UNDERSAMPLED
+                       + COARSE_UNDERSAMPLED) + 1):
         a = rng.normal(size=(4, 4))
         out.append((a, 0.2 * rng.normal(size=4)))
     return out
@@ -90,6 +96,14 @@ def test_census_index_sum_certifies(k):
 @pytest.mark.parametrize("k", COARSE_WRONG_INTEGER)
 def test_census_index_sum_certifies_at_a_coarse_rule(k):
     assert_index_sum_certifies(k, default_quadrature(4, 0.2))
+
+
+@pytest.mark.parametrize("k", COARSE_UNDERSAMPLED)
+def test_census_index_sum_at_a_coarse_rule_raises(k):
+    a, c = DRAWS[k]
+    with pytest.raises(UndersampledError):
+        index_sum_with_excision(linear_field(a, offset=-a @ c), BALL,
+                                quadrature=default_quadrature(4, 0.2))
 
 
 class _PointCount(VectorField):

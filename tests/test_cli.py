@@ -304,6 +304,15 @@ def test_uncertified_result_exits_3(tmp_path, capsys, methods, field, resolution
     assert lines[0].startswith(f"error: scenario 'uncertified': uncertified: {error}: ")
 
 
+def test_coarse_s4_gbc_exits_3(capsys):
+    # the top rule (4, 4, 4, 4) reads 1.974, but its level below, (2, 2, 2, 2),
+    # reads 0.81: two rules that share no axis count do not agree
+    assert main(["run", "s4-gbc", "--resolution-scale", "0.125"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scenario 's4-gbc': uncertified: UndersampledError: ")
+
+
 def test_unallocatable_resolution_scale_exits_1(capsys):
     # the first scan grid at scale 1000 would need 71.1 PiB: it fails at once
     assert main(["run", "ball4-rotation", "--resolution-scale", "1000"]) == 1

@@ -18,11 +18,13 @@ from eulerchar.gbc import (
     RoundSphere4,
     catalog_manifold,
     catalog_manifold_names,
+    chart_rule,
     euler_density_value,
     frame_contraction,
     integrate_euler,
     pfaffian,
 )
+from eulerchar.winding import UndersampledError, ladder, scaled_count
 
 RNG_SEED = 1729
 
@@ -92,7 +94,7 @@ def test_s4_constant_curvature_density():
 
 def test_flat_torus_zero_density():
     t = FlatTorusMetric()
-    pts, _ = t.quadrature()
+    pts, _ = chart_rule(t.axes, t.top)
     assert np.allclose(t.euler_density(pts), 0.0)
 
 
@@ -132,20 +134,41 @@ def test_s4_integral():
 def test_sphere_area_normalization():
     # weights x sqrt_g integrate the volume: 4 pi r^2 and (8/3) pi^2 r^4
     s2 = RoundSphere2(radius=2.0)
-    pts, wts = s2.quadrature()
+    pts, wts = chart_rule(s2.axes, s2.top)
     vol = float(np.dot(wts, s2.sqrt_g(pts)))
     assert abs(vol - 4.0 * math.pi * 4.0) < 1e-8
     s4 = RoundSphere4(radius=1.0)
-    pts, wts = s4.quadrature()
+    pts, wts = chart_rule(s4.axes, s4.top)
     vol = float(np.dot(wts, s4.sqrt_g(pts)))
     assert abs(vol - 8.0 * math.pi ** 2 / 3.0) < 1e-8
+    t = FlatTorusMetric()
+    pts, wts = chart_rule(t.axes, t.top)
+    assert abs(float(np.dot(wts, t.sqrt_g(pts))) - 1.0) < 1e-12
 
 
 def test_scale_refinement_keeps_answer():
+    # the scale sets only the top rule: both climbs stop at the same level below it
     coarse = integrate_euler(RoundSphere2(), scale=0.5)
     fine = integrate_euler(RoundSphere2(), scale=2.0)
     assert coarse.rounded == fine.rounded == 2
-    assert fine.nodes > coarse.nodes
+    assert (coarse.raw, coarse.error, coarse.nodes) == (fine.raw, fine.error, fine.nodes)
+    tops = [tuple(scaled_count(c, s) for c in RoundSphere2.top) for s in (0.5, 2.0)]
+    assert tops == [(32, 64), (128, 256)]
+    assert ladder(tops[0], (4, 4)) == ladder(tops[1], (4, 4))[:4]
+
+
+def test_s2_climb_stops_where_two_levels_agree():
+    # (4, 8) is 1.6e-5 off and (8, 16) 4e-15: the climb stops at (16, 32)
+    res = integrate_euler(RoundSphere2())
+    assert res.nodes == 4 * 8 + 8 * 16 + 16 * 32
+    assert abs(res.raw - 2.0) <= res.error + 1e-14 and res.error <= 1e-5
+
+
+def test_s4_climbs_to_its_top_rule():
+    # (4, 4, 4, 8) is 0.026 off, so the climb needs (8, 8, 8, 16) and the top
+    res = integrate_euler(RoundSphere4())
+    assert res.nodes == 4 ** 3 * 8 + 8 ** 3 * 16 + 16 ** 3 * 32
+    assert abs(res.raw - 2.0) < 1e-12 and 1e-9 < res.error < 1e-6
 
 
 def test_catalog_manifold_lookup():
@@ -159,13 +182,11 @@ def test_catalog_manifold_lookup():
 
 
 def test_residual_guard():
-    # a deliberately starved quadrature must refuse to round
-    class Starved(RoundSphere2):
-        def quadrature(self, scale=1.0):
-            return super().quadrature(scale=0.08)
-
-    with pytest.raises(GbcError):
-        integrate_euler(Starved(radius=1.0), max_residual=1e-9)
+    # a deliberately starved quadrature must refuse to round: at scale 0.125
+    # the S^4 top rule is (4, 4, 4, 4), which reads 1.974, within 0.1 of 2,
+    # but the level below it, (2, 2, 2, 2), reads 0.8
+    with pytest.raises(UndersampledError, match="from the level below"):
+        integrate_euler(RoundSphere4(), scale=0.125)
 
 
 def test_contract_batch_rejects_non_antisymmetric():

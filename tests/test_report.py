@@ -80,16 +80,20 @@ ZERO_KEYS = ["location", "winding", "eta", "beta", "regular", "degenerate",
              "jacobian_det", "field_norm", "winding_raw", "winding_residual",
              "winding_error", "isolation_radius"]
 CHART_ZERO_KEYS = ZERO_KEYS + ["ambient", "chart", "chart_location"]
-EXCISION_KEYS = ["zero_sum", "enclosing_winding", "enclosing_raw", "agree",
-                 "oracle_degree", "oracle_agree", "zeros"]
+EXCISION_KEYS = ["zero_sum", "enclosing_winding", "enclosing_raw", "enclosing_error",
+                 "agree", "oracle_degree", "oracle_agree", "zeros"]
 CLOSED_KEYS = ["total", "chi_oracle", "agree", "attempts", "flags", "zeros"]
 BOUNDARY_KEYS = ["interior_sum", "boundary_all_half", "boundary_inward",
                  "chi_paper", "chi_morse", "chi_oracle", "endorsed", "flags",
                  "zeros", "boundary_zeros"]
-BOUNDARY_ZERO_KEYS = ["location", "winding", "inward", "alpha",
+BOUNDARY_ZERO_KEYS = ["location", "winding", "winding_error", "inward", "alpha",
                       "normal_component", "chart"]
-GBC_KEYS = ["manifold", "raw", "rounded", "residual", "nodes", "scale",
+GBC_KEYS = ["manifold", "raw", "rounded", "residual", "error", "nodes", "scale",
             "oracle", "agree"]
+FLATNESS_KEYS = ["points_checked", "max_curvature_norm", "max_grade2_leakage", "step",
+                 "expected_winding", "flux", "agree"]
+FLUX_KEYS = ["singular_point", "loop_radius", "flux", "quantum", "quantum_rounded",
+             "residual", "error"]
 
 
 def test_report_key_order_pinned():
@@ -111,8 +115,8 @@ def test_report_key_order_pinned():
             elif method == "index-sum":
                 checks = [(payload, CLOSED_KEYS)] + [(z, CHART_ZERO_KEYS) for z in payload["zeros"]]
             else:
-                continue
+                checks = [(payload, FLATNESS_KEYS), (payload["flux"], FLUX_KEYS)]
             for obj, keys in checks:
                 assert list(obj) == keys
                 seen.add(tuple(keys))
-    assert len(seen) == 7  # every payload kind occurs in some bundled report
+    assert len(seen) == 9  # every payload kind occurs in some bundled report

@@ -20,7 +20,10 @@ from eulerchar.fields import (
     rotation_field,
     saddle_field,
 )
+from eulerchar.gbc import EmbeddedTorus, FlatTorusMetric, RoundSphere2, RoundSphere4
 from eulerchar.winding import (
+    _DEFAULT_NODES,
+    _LADDER_START,
     AGREE_TOL,
     BLOCK,
     SphereQuadrature,
@@ -31,6 +34,7 @@ from eulerchar.winding import (
     ladder,
     oracle_degree_anglesum,
     oracle_degree_preimage,
+    scaled_count,
     sphere_area,
     sphere_mesh,
     winding_number,
@@ -274,6 +278,17 @@ def test_sphere_mesh_closes():
             assert np.linalg.det(m) > 0.0
 
 
+def test_circle_mesh_winds_once_through_every_vertex():
+    for level in (0, 6, 9):
+        verts, cells = sphere_mesh(2, level)
+        m = 4 << level
+        assert verts.shape == (m, 2) and sorted(cells[:, 0]) == list(range(m))
+        a, b = verts[cells[:, 0]], verts[cells[:, 1]]
+        arcs = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.vecdot(a, b))
+        assert np.all(arcs > 0.0) and abs(arcs.sum() - 2.0 * math.pi) < 1e-12
+        assert np.max(np.abs(arcs - 2.0 * math.pi / m)) < 1e-12
+
+
 def test_preimage_oracle_random_rotated_linear():
     rng = np.random.default_rng(RNG_SEED + 1)
     for n in (2, 4):
@@ -315,13 +330,38 @@ class _Tally(VectorField):
 
 
 def test_ladder_doubles_from_its_start_to_below_the_top():
-    sizes = lambda n, top: [math.prod(c) for c in ladder(n, top)]
+    sizes = lambda n, top: [math.prod(c) for c in ladder(top, _LADDER_START[n])[:-1]]
     assert sizes(4, (48, 48, 96)) == [432, 3456, 27648]
     assert sizes(3, (96, 192)) == [72, 288, 1152, 4608]
     assert sizes(2, (512,)) == [64, 128, 256]
-    assert ladder(2, (24,)) == ((12,),)  # a coarse top still gets half of it below
-    assert ladder(4, (48, 48, 97))[-1] == (48, 48, 96)
-    assert ladder(2, (1,)) == ()
+    assert ladder((24,), (64,)) == ((12,), (24,))  # a coarse top still gets half of it below
+    assert ladder((48, 48, 97), (6, 6, 12)) == ((6, 6, 13), (12, 12, 25), (24, 24, 49),
+                                                (48, 48, 97))
+    assert ladder((10, 10, 19), (6, 6, 12)) == ((5, 5, 10), (10, 10, 19))
+    assert ladder((1,), (64,)) == ((1,),)
+
+
+def _tops():
+    """Every default winding top at six scales, and the gbc and flux tops."""
+    for n, counts in _DEFAULT_NODES.items():
+        for scale in (0.125, 0.2, 0.3, 0.5, 1.0, 2.0):
+            yield tuple(scaled_count(c, scale) for c in counts), _LADDER_START[n]
+    for m in (RoundSphere2(), RoundSphere4(), EmbeddedTorus(), FlatTorusMetric()):
+        for scale in (0.125, 0.5, 1.0, 2.0):
+            yield tuple(scaled_count(c, scale) for c in m.top), (4,) * len(m.top)
+    for segments in (8, 64, 65, 100, 512, 1000):
+        yield (segments,), (64,)
+
+
+@pytest.mark.parametrize("top,start", list(_tops()))
+def test_no_ladder_level_repeats_an_axis_count(top, start):
+    levels = ladder(top, start)
+    assert levels[-1] == top
+    for k, (below, above) in enumerate(zip(levels, levels[1:])):
+        assert all(b < a for b, a in zip(below, above))
+        # each level halves the top, rounding up; only the first halving may fall below start
+        assert below == tuple(-(-t // 2 ** (len(levels) - 1 - k)) for t in top)
+        assert k == len(levels) - 2 or all(b >= s for b, s in zip(below, start))
 
 
 def _well_conditioned(rng, n):
