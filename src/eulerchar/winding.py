@@ -47,6 +47,14 @@ a regular zero z, psi is close to x - z, whose density is nearly
 constant, and a few hundred nodes resolve it whatever the conditioning
 of J(z).
 
+On an enclosing sphere preconditioned by its own affine fit, psi is close
+to m(s) = s - a with a off centre.  The density s . (s - a) / |s - a|^N of
+m is far from constant, but integrates to |S^(N-1)| when |a| < 1 and to 0
+when |a| > 1.  Given a, winding_number climbs only on psi's density minus
+m's, and adds deg m back (Davis & Rabinowitz, Methods of Numerical
+Integration, 2nd ed. 1984, section 2.12).  For an affine phi the
+difference is rounding, and the first two levels agree.
+
 Two independent cross-checks live here as well: a 1-D angle-summation
 degree for planar fields, and a generic preimage-counting degree that
 triangulates the source sphere and counts signed simplices covering a
@@ -316,13 +324,16 @@ class WindingResult:
 
 def winding_number(field: VectorField, center, radius: float,
                    quadrature: SphereQuadrature | None = None,
-                   precondition=None) -> WindingResult:
+                   precondition=None, model_zero=None) -> WindingResult:
     """Degree of phi/|phi| over the sphere |x - center| = radius.
 
     quadrature is the top of the ladder (default: the dimension's default
     rule; on the line S^0 is two points and needs none).  With
     precondition P (an invertible N x N matrix) the degree is that of
-    psi = P phi; the zero-on-sphere check still reads |phi|.
+    psi = P phi; the zero-on-sphere check still reads |phi|.  With
+    model_zero a (an N-vector, |a| != 1) the ladder integrates psi's density
+    minus that of the model s - a at the unit-sphere node s, and deg(s - a)
+    is added back, as the module docstring says.
     """
     center = np.asarray(center, dtype=float)
     n = field.dimension
@@ -351,11 +362,17 @@ def winding_number(field: VectorField, center, radius: float,
                 dens, psi = det_p * dens, phi @ precondition.T
                 sq = np.einsum("pi,pi->p", psi, psi)
             out[lo:lo + BLOCK] = dens / sq ** (n / 2)
+            if model_zero is not None:  # minus the density of s - a, whose Jacobian is I / radius
+                d = s - model_zero
+                out[lo:lo + BLOCK] -= np.vecdot(s, d) / (radius ** (n - 1)
+                                                         * np.vecdot(d, d) ** (n / 2))
         return out
 
+    base = 0.0 if model_zero is None else float(np.linalg.norm(model_zero) < 1.0)
     if n == 1:  # S^0 has weights 1 and area 2, and its rule is exact
-        return WindingResult.from_raw(0.5 * float(np.sum(densities(np.array([[1.0], [-1.0]])))),
-                                      center, radius, 0.0)
+        return WindingResult.from_raw(
+            base + 0.5 * float(np.sum(densities(np.array([[1.0], [-1.0]])))),
+            center, radius, 0.0)
     top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[n]
 
     def build(counts):  # the top rule is built only if the climb reaches it
@@ -365,7 +382,7 @@ def winding_number(field: VectorField, center, radius: float,
     scale = radius ** (n - 1) / sphere_area(n)
     # np.sum is pairwise on one thread; a BLAS dot splits across threads
     raw, error, _ = climb(ladder(top, _LADDER_START[n]), build, densities,
-                          lambda weights, dens: scale * float(np.sum(weights * dens)),
+                          lambda weights, dens: base + scale * float(np.sum(weights * dens)),
                           nests=n == 2)
     return WindingResult.from_raw(raw, center, radius, error)
 

@@ -14,11 +14,18 @@ winding is its index.  find_zeros runs both on the zeros inside one
 domain; the chart atlases of manifolds deduplicate in between.
 
 The enclosing sphere of index_sum_with_excision is preconditioned from
-its own samples, never from the zeros: phi ~ b + B s is fitted on the
-ladder's coarsest nodes s.  Where the fit's relative residual is at most
-FIT_GATE, B is invertible and b + B s vanishes inside (|B^-1 b| < 1), the
-degree is sign det P deg(P phi) with P = B^-1; elsewhere phi is wound.
-So, like the preimage oracle, it checks the per-zero windings independently.
+its own samples, never from the zeros: phi ~ b + B s is fitted by
+weighted least squares on the ladder's coarsest nodes s, so an affine phi
+is recovered to rounding.  Where the fit's relative residual is at most
+FIT_GATE, B is invertible and b + B s vanishes inside (|a| < 1 with
+a = -B^-1 b), the degree is sign det P deg(P phi) with P = B^-1, and
+P phi is wound against its model s - a: the climb integrates only the
+density P phi's model does not explain, and the model's degree, 1, is
+added back.  A model zero just inside the sphere has a density spike that
+no level resolves; half its mass then goes missing, the levels read about
+1/2 off an integer, and P phi is wound again without the model.  Elsewhere
+phi is wound.  So, like the preimage oracle, the enclosing sphere checks
+the per-zero windings independently.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .fields import VectorField
 from .report import Record
 from .winding import (
     SphereQuadrature,
+    UndersampledError,
     coarsest_rule,
     oracle_degree_preimage,
     winding_number,
@@ -287,8 +295,15 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
     """
     records = find_zeros(field, ball, resolution=resolution, quadrature=quadrature)
     zero_sum = total_index(records)
-    p = _enclosing_preconditioner(field, ball, quadrature)
-    big = winding_number(field, ball.center, ball.radius, quadrature, precondition=p)
+    p, a = _enclosing_preconditioner(field, ball, quadrature)
+    wind = lambda model: winding_number(field, ball.center, ball.radius, quadrature,
+                                        precondition=p, model_zero=model)
+    try:
+        big = wind(a)
+    except UndersampledError:
+        if a is None:
+            raise
+        big = wind(None)  # a model zero by the sphere: its spike outran the ladder
     sign = 1 if p is None or np.linalg.det(p) > 0 else -1
     enclosing = sign * big.rounded
     deg = oracle_degree_preimage(field, ball.center, ball.radius)
@@ -305,17 +320,21 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
 
 
 def _enclosing_preconditioner(field: VectorField, ball: BallDomain, quadrature):
-    """B^-1 of the fit phi ~ b + B s on the enclosing sphere, or None if the gate fails.
+    """(P, a) of the fit phi ~ b + B s on the enclosing sphere, with P = B^-1 and
+    a = -P b the model's zero, or (None, None) if the gate fails.
 
-    On the ladder's coarsest rule, which is symmetric and exact for quadratics,
-    the least-squares fit is b = sum w phi / sum w and B = N sum w phi s^T / sum w.
+    The fit solves sqrt(w) [1, s] [b, B]^T ~ sqrt(w) phi by least squares on the
+    ladder's coarsest rule, so it reproduces an affine phi whatever the rule's moments.
     """
     quad = coarsest_rule(field.dimension, quadrature)
-    s, w = quad.nodes, quad.weights / quad.weights.sum()
+    s, sw = quad.nodes, np.sqrt(quad.weights)[:, None]
     phi = field.evaluate_many(np.asarray(ball.center) + ball.radius * s)
-    b, big = w @ phi, field.dimension * (w[:, None] * phi).T @ s
-    sq = lambda v: w @ np.vecdot(v, v)
-    if np.linalg.det(big) == 0.0 or sq(phi - b - s @ big.T) > FIT_GATE ** 2 * sq(phi):
-        return None
+    basis = np.hstack([np.ones_like(s[:, :1]), s])
+    coef = np.linalg.lstsq(sw * basis, sw * phi, rcond=None)[0]
+    b, big = coef[0], coef[1:].T
+    sq = lambda v: np.sum((sw * v) ** 2)
+    if np.linalg.det(big) == 0.0 or sq(phi - basis @ coef) > FIT_GATE ** 2 * sq(phi):
+        return None, None
     p = np.linalg.inv(big)
-    return p if np.linalg.norm(p @ b) < 1.0 else None
+    a = -p @ b
+    return (p, a) if np.linalg.norm(a) < 1.0 else (None, None)

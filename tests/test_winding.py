@@ -385,6 +385,32 @@ def test_ladder_stops_below_the_top_on_a_regular_zero():
     assert f.calls == [128]  # the two first planar levels share one field call
 
 
+def _affine_model(rng, n, depth):
+    """A (x - c) with |c - center| = depth R, and the P = (R A)^-1 and model zero
+    (c - center) / R that make P phi exactly s - m on the sphere."""
+    a, center, radius = rng.standard_normal((n, n)), rng.uniform(-1.0, 1.0, n), 1.3
+    d = rng.standard_normal(n)
+    c = center + depth * radius * d / np.linalg.norm(d)
+    return (linear_field(a, offset=-a @ c), center, radius, np.linalg.inv(radius * a),
+            (c - center) / radius)
+
+
+@pytest.mark.parametrize("n,calls", [(2, [128]), (3, [72, 288]), (4, [432, 3456])])
+def test_an_affine_field_wound_against_its_model_stops_at_the_second_level(n, calls):
+    field, center, radius, p, m = _affine_model(np.random.default_rng(RNG_SEED + n), n, 0.6)
+    f = _Tally(field)
+    w = winding_number(f, center, radius, precondition=p, model_zero=m)
+    assert f.calls == calls  # 128, 360 and 3,888 points
+    assert w.rounded == 1 and abs(w.residual) <= 1e-12 and w.error <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_model_with_its_zero_outside_adds_degree_0(n):
+    field, center, radius, p, m = _affine_model(np.random.default_rng(RNG_SEED - n), n, 1.5)
+    w = winding_number(field, center, radius, precondition=p, model_zero=m)
+    assert w.rounded == 0 and abs(w.residual) <= 1e-12
+
+
 def test_a_rule_with_one_level_never_agrees_with_itself():
     # the identity field's density is constant: every rule gives exactly 1,
     # but a rule with no level below it has nothing to agree with

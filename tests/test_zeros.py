@@ -23,6 +23,7 @@ from eulerchar.fields import (
     torus_sines_field,
 )
 from eulerchar.manifolds import CHART_RESOLUTION, SphereManifold
+from eulerchar.winding import UndersampledError, winding_number
 from eulerchar.zeros import (
     BoundaryZoneError,
     ZeroFindingError,
@@ -214,7 +215,7 @@ FAR_FIT_DISK = (
     (constant_field([0.0, 0.0, 0.0, 1.0]), BallDomain((0.0,) * 4, 1.0), 0),  # B is ~0
 ], ids=["far-fit-disk", "quaternion-square", "constant-4d"])
 def test_enclosing_fit_gate_winds_the_plain_field(field, ball, degree):
-    assert zeros._enclosing_preconditioner(field, ball, None) is None
+    assert zeros._enclosing_preconditioner(field, ball, None) == (None, None)
     result = index_sum_with_excision(field, ball)
     assert result.enclosing_winding == result.zero_sum == result.oracle_degree == degree
 
@@ -222,10 +223,97 @@ def test_enclosing_fit_gate_winds_the_plain_field(field, ball, degree):
 def test_enclosing_fit_preconditions_a_linear_field():
     a = np.array([[2.0, 1.0], [0.0, -0.5]])
     ball = BallDomain((0.1, -0.2), 1.3)
-    p = zeros._enclosing_preconditioner(linear_field(a, offset=[0.3, 0.1]), ball, None)
-    assert np.allclose(p, np.linalg.inv(a) / ball.radius)
+    p, m = zeros._enclosing_preconditioner(linear_field(a, offset=[0.3, 0.1]), ball, None)
+    assert np.abs(p - np.linalg.inv(a) / ball.radius).max() <= 1e-12
+    # A x + (0.3, 0.1) vanishes at c = -A^-1 (0.3, 0.1); the model s - m at m = (c - center) / R
+    assert np.abs(m - (np.linalg.solve(a, [-0.3, -0.1]) - ball.center) / ball.radius).max() <= 1e-12
     result = index_sum_with_excision(linear_field(a, offset=[0.3, 0.1]), ball)
     assert result.enclosing_winding == result.zero_sum == -1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enclosing_fit_recovers_an_affine_field(n):
+    # phi = A (x - c) on the sphere center + R s is b + B s with B = R A and b = A (center - c).
+    # The coarsest R^3 and R^4 rules are not exact for quadratics: N sum w s s^T / sum w
+    # misses I by 7.3e-5 and 1.4e-3, and so did a fit read off those moments.
+    rng = np.random.default_rng(RNG_SEED + n)
+    a = rng.standard_normal((n, n))
+    center, radius = rng.uniform(-1.0, 1.0, n), 1.7
+    c = center + 0.3 * radius * rng.uniform(-1.0, 1.0, n) / np.sqrt(n)
+    p, m = zeros._enclosing_preconditioner(linear_field(a, offset=-a @ c),
+                                           BallDomain(tuple(center), radius), None)
+    big, b = radius * a, a @ (center - c)
+    assert np.abs(p @ big - np.eye(n)).max() <= 1e-12
+    assert np.abs(big @ m + b).max() <= 1e-12  # b + B m = 0: m is the model's zero
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       log_cond=st.floats(0.0, 3.0), depth=st.floats(0.0, 0.9))
+def test_enclosing_winding_of_an_affine_field_property(n, seed, log_cond, depth):
+    # A (x - c) with cond(A) = 10^log_cond and |c - center| = depth R winds sign det A times
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    a = (u * np.logspace(0.0, log_cond, n)) @ v.T
+    center, radius = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0)
+    d = rng.standard_normal(n)
+    c = center + depth * radius * d / np.linalg.norm(d)
+    result = index_sum_with_excision(linear_field(a, offset=-a @ c),
+                                     BallDomain(tuple(center), radius))
+    sign = 1 if np.linalg.det(a) > 0 else -1
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == sign
+
+
+# degree 0: two roots and two conjugate roots, whose affine fit passes the gate
+# with its zero 1.5e-4 inside the circle, |a| = 0.99985
+SPIKE_MODEL_DISK = (
+    ComplexProductField(roots=[0.9721882039143015 - 0.305513132610851j,
+                               0.9477666335227253 - 0.9430753136033293j],
+                        conj_roots=[-0.2164876151119588 - 0.5680528740452234j,
+                                    0.6200335612526061 - 0.6501997974136631j]),
+    BallDomain((0.09421214025146274, -0.48136673727488677), 1.7414463266321447))
+
+
+def test_enclosing_model_by_the_sphere_falls_back_to_the_plain_winding():
+    field, ball = SPIKE_MODEL_DISK
+    p, m = zeros._enclosing_preconditioner(field, ball, None)
+    assert 1.0 - 2e-4 < np.linalg.norm(m) < 1.0
+    # the model's spike is narrower than any level's nodes: about half its mass is missed
+    with pytest.raises(UndersampledError, match=r"value 0\.45"):
+        winding_number(field, ball.center, ball.radius, precondition=p, model_zero=m)
+    result = index_sum_with_excision(field, ball)
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == 0
+    assert len(result.zeros) == 4
+
+
+def _quaternion_product(a, b) -> CallableField:
+    """(q - a)(q - b) on R^4 read as quaternions (w, x, y, z), with its Jacobian
+    delta -> delta (q - b) + (q - a) delta."""
+    def mul(p, q):
+        pw, px, py, pz = np.moveaxis(p, -1, 0)
+        qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+        return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                         pw * qx + px * qw + py * qz - pz * qy,
+                         pw * qy - px * qz + py * qw + pz * qx,
+                         pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+
+    e = np.eye(4)
+    return CallableField(4, lambda q: mul(q - a, q - b),
+                         lambda q: (mul(e, (q - b)[:, None])
+                                    + mul((q - a)[:, None], e)).transpose(0, 2, 1),
+                         name="quaternion-product", batch=True)
+
+
+def test_enclosing_model_subtraction_keeps_a_quaternion_product_at_degree_2():
+    # zeros at a and b, 0.79 and 0.91 from the center: the affine part dominates,
+    # so the fit gate passes and the model's degree 1 is subtracted from a degree-2 field
+    f = _quaternion_product(np.array([0.0, -0.5, 0.6, 0.1]), np.array([-0.6, 0.3, 0.6, 0.1]))
+    ball = BallDomain((0.0,) * 4, 1.0)
+    p, m = zeros._enclosing_preconditioner(f, ball, None)
+    assert p is not None and np.linalg.norm(m) < 1.0
+    result = index_sum_with_excision(f, ball)
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == 2
+    assert len(result.zeros) == 2
 
 
 # lattice sites 0.35 apart with |z| <= 0.7; a jitter of at most 0.05 per axis
