@@ -28,7 +28,7 @@ from .gbc import GbcError, catalog_manifold, catalog_manifold_names, integrate_e
 from .manifolds import CHART_RESOLUTION, FlatTorus, ManifoldError, SphereManifold
 from .report import format_table, render_report, summary_row
 from .triangulations import catalog_names, chi_oracle
-from .winding import WindingError, default_quadrature
+from .winding import WindingError, default_quadrature, scaled_count
 from .zeros import DEFAULT_RESOLUTION, ZeroFindingError, index_sum_with_excision
 
 _TOP_KEYS = {"schema", "name", "description", "methods", "domain", "field",
@@ -66,13 +66,23 @@ def load_scenario(ref: str) -> dict:
             raise ScenarioError(f"cannot read scenario {ref!r}: {e}") from None
         origin = ref
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"{origin}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except ValueError as e:
+        raise ScenarioError(f"{origin}: {e}") from None
     validate_scenario(obj, origin)
     return obj
+
+
+def _finite_number(token: str) -> float:
+    """JSON number hook: NaN, Infinity and literals past the float range are bad input."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token} is not allowed")
+    return value
 
 
 def validate_scenario(obj, origin: str):
@@ -103,6 +113,10 @@ def validate_scenario(obj, origin: str):
         raise ScenarioError(
             f"{origin}: resolutions must be an object with keys from {sorted(_RES_KEYS)}"
         )
+    bad = sorted(k for k, v in res.items()
+                 if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf)
+    if bad:
+        raise ScenarioError(f"{origin}: resolutions {bad} must be positive numbers")
 
 
 # -- spec layer: objects from scenario JSON -----------------------------
@@ -162,7 +176,7 @@ def _grid_res(sc, default: int, scale: float) -> int | None:
     base = sc.get("resolutions", {}).get("grid")
     if base is None and scale == 1.0:
         return None
-    return max(4, int(round(float(default if base is None else base) * scale)))
+    return scaled_count(default if base is None else base, scale)
 
 
 def _quad_scale(sc, scale: float) -> float:

@@ -1,21 +1,26 @@
 """Euler characteristics by curvature quadrature.
 
-For a closed even-dimensional Riemannian manifold the Euler density in
-orthonormal-frame components is
+For a closed Riemannian manifold of even dimension N = 2m the Euler
+density in orthonormal-frame components is
 
     E = 1 / ((2 pi)^m 4^m m!) * eps_a eps_c F^{a1 a2}_{c1 c2} ... F^{a_{2m-1} a_{2m}}_{c_{2m-1} c_{2m}}
 
-with N = 2m and F the curvature tensor; integrating E against the
-Riemannian volume gives chi.  For surfaces this is the Pfaffian of the
-curvature two-form over 2 pi (the Gauss curvature route), and the
-module evaluates it literally that way; for N = 4 the double
-epsilon-contraction is precomputed as a quadratic form so the density
-stays vectorized.
+with F the curvature tensor; integrating E against the Riemannian
+volume gives chi.  F is antisymmetric in (a, b) and in (c, d), so each
+epsilon collapses onto the signed perfect matchings of its indices:
+eps eps F...F / (4^m m!) is the sum, over row matchings A and column
+matchings C, of sign A sign C times the permanent of the m x m matrix
+F^{A_i}_{C_j}.  For surfaces that is the one term F^{12}_{12}, the
+Pfaffian of the curvature two-form (the Gauss curvature route); for
+N = 4 it is 18 terms.  pfaffian sums over the same matchings.
 
-Catalog manifolds (round spheres, flat and embedded tori) supply exact
-frame curvatures and volume densities on explicit charts, so the
-quadrature is the only approximation in this route.  Its top rule is
-the chart's per-axis rules at the manifold's node counts, and
+Every catalog manifold (round spheres, flat and embedded tori) is a
+space form at each point, F = K (delta^a_c delta^b_d - delta^a_d delta^b_c)
+with K its sectional curvature, so its density is K^m times the
+contraction of the unit space form, computed once per N, over (2 pi)^m.
+A catalog entry supplies K and the volume density on an explicit chart,
+so the quadrature is the only approximation in this route.  Its top
+rule is the chart's per-axis rules at the manifold's node counts, and
 integrate_euler certifies chi by a climb up to it (winding.climb).
 """
 
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import Callable
 
 import numpy as np
 
@@ -32,17 +38,31 @@ from .report import Record
 from .winding import azimuth_rule, climb, ladder, polar_rule, scaled_count, tensor_rule
 
 MAX_PFAFFIAN_SIZE = 8
-CHUNK = 8192
+LOG_RANGE = 708.0  # |log x| below this keeps x and 1/x normal floats, with room to spare
 
 
 class GbcError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _matchings(n: int) -> tuple:
+    """Signed perfect matchings of range(n): (sign, ((i, j), ...)) with i < j."""
+    def match(rest):
+        if not rest:
+            return [(1, ())]
+        first, others = rest[0], rest[1:]
+        # pairing first with others[k] moves others[k] past k indices
+        return [((-1) ** k * sign, ((first, j),) + pairs)
+                for k, j in enumerate(others)
+                for sign, pairs in match(others[:k] + others[k + 1:])]
+    return tuple(match(tuple(range(n))))
+
+
 def pfaffian(a: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix of even size <= 8.
 
-    Recursive expansion along the first row; Pf(A)^2 = det(A).
+    The signed sum over perfect matchings; Pf(A)^2 = det(A).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -51,7 +71,8 @@ def pfaffian(a: np.ndarray) -> float:
     if n % 2 or n == 0 or n > MAX_PFAFFIAN_SIZE:
         raise GbcError(f"pfaffian needs even size in 2..{MAX_PFAFFIAN_SIZE}")
     _check_antisymmetric(a)
-    return _pf(a)
+    return float(sum(sign * math.prod(a[i, j] for i, j in pairs)
+                     for sign, pairs in _matchings(n)))
 
 
 def _check_antisymmetric(a: np.ndarray):
@@ -62,66 +83,28 @@ def _check_antisymmetric(a: np.ndarray):
         raise GbcError(f"matrix is not antisymmetric (deviation {np.max(skew[bad]):.3e})")
 
 
-def _pf(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n == 2:
-        return float(a[0, 1])
-    total = 0.0
-    rest = list(range(1, n))
-    for k, j in enumerate(rest):
-        keep = [i for i in rest if i != j]
-        minor = a[np.ix_(keep, keep)]
-        total += (-1.0) ** k * a[0, j] * _pf(minor)
-    return total
-
-
-@lru_cache(maxsize=4)
-def _epsilon_form(n: int) -> np.ndarray:
-    """Quadratic form Q with eps_a eps_c F F = f . Q . f, f = F.ravel().
-
-    Index i encodes (a1, a2, c1, c2) in base n; Q pairs it with the
-    (a3, a4, c3, c4) block over all permutation sign products.
-    """
-    q = np.zeros((n ** 4, n ** 4))
-
-    def sign(p):
-        s = 1
-        p = list(p)
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
-    for pa in permutations(range(n)):
-        ea = sign(pa)
-        for pc in permutations(range(n)):
-            ec = sign(pc)
-            i = ((pa[0] * n + pa[1]) * n + pc[0]) * n + pc[1]
-            j = ((pa[2] * n + pa[3]) * n + pc[2]) * n + pc[3]
-            q[i, j] += ea * ec
-    return q
-
-
 def frame_contraction(f: np.ndarray):
     """eps eps contraction of curvature tensors, including 1/(4^m m!).
 
-    f has shape (..., N, N, N, N) with components F^{a b}_{c d}; N in
-    {2, 4}.  One tensor gives a float, a batch an array.
+    f has shape (..., N, N, N, N) with components F^{a b}_{c d},
+    antisymmetric in (a, b) and in (c, d); N in {2, 4}.  One tensor
+    gives a float, a batch an array.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     if f.ndim < 4 or f.shape[-4:] != (n,) * 4 or n not in (2, 4):
         raise GbcError("curvature tensor must be (..., N,N,N,N) with N in {2, 4}")
-    m = n // 2
-    if n == 2:
-        # literal surface route: Pfaffian of the curvature 2-form on (e1, e2)
-        two_forms = f[..., :, :, 0, 1]
-        _check_antisymmetric(two_forms)
-        return two_forms[..., 0, 1]
-    flat = f.reshape(f.shape[:-4] + (-1,))
-    vals = np.einsum("...i,ij,...j->...", flat, _epsilon_form(n), flat)
-    return vals / (4.0 ** m * math.factorial(m))
+    _check_antisymmetric(f)
+    _check_antisymmetric(np.moveaxis(f, (-4, -3), (-2, -1)))
+    total = 0.0
+    for row_sign, rows in _matchings(n):
+        for col_sign, cols in _matchings(n):
+            for perm in permutations(cols):  # the permanent of F^{A_i}_{C_j}
+                term = row_sign * col_sign
+                for (a, b), (c, d) in zip(rows, perm):
+                    term = term * f[..., a, b, c, d]
+                total = total + term
+    return total
 
 
 def euler_density_value(f: np.ndarray):
@@ -130,143 +113,103 @@ def euler_density_value(f: np.ndarray):
     return frame_contraction(f) / (2.0 * math.pi) ** m
 
 
+def space_form(n: int) -> np.ndarray:
+    """Unit space-form curvature F^{ab}_{cd} = delta^a_c delta^b_d - delta^a_d delta^b_c."""
+    eye = np.eye(n)
+    return np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye)
+
+
+@lru_cache(maxsize=None)
+def _unit_contraction(n: int) -> float:
+    return float(frame_contraction(space_form(n)))
+
+
 # -- catalog of curved manifolds ----------------------------------------
 
 
+@dataclass(frozen=True)
 class CurvedManifold:
-    """Chart, volume density, and frame curvature of a catalog manifold.
+    """Chart, volume density and sectional curvature of a catalog manifold.
 
     ``oracle`` names the reference triangulation with the same chi, and
     ``axes`` the chart's per-axis rules, with ``top`` nodes at scale 1.
+    ``sqrt_g`` maps chart points (P, N) to volume densities (P,), and
+    ``gauss`` to the sectional curvature K: a float where K is constant,
+    else an array (P,).
     """
 
-    name = "manifold"
-    dimension = 2
-    oracle = None
+    name: str
+    oracle: str
+    axes: tuple
+    top: tuple
+    sqrt_g: Callable[[np.ndarray], np.ndarray]
+    gauss: Callable[[np.ndarray], object]
 
-    def sqrt_g(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def curvature_constant(self):
-        """Frame curvature tensor if it is position-independent, else None."""
-        return None
-
-    def curvature(self, pts: np.ndarray) -> np.ndarray:
-        """Pointwise frame curvature; read only when curvature_constant is None."""
-        raise NotImplementedError
-
-    def euler_density(self, pts: np.ndarray) -> np.ndarray:
-        const = self.curvature_constant()
-        if const is not None:
-            return np.full(pts.shape[0], euler_density_value(const))
-        out = np.empty(pts.shape[0])
-        for k in range(0, pts.shape[0], CHUNK):
-            out[k:k + CHUNK] = euler_density_value(self.curvature(pts[k:k + CHUNK]))
-        return out
+    def euler_density(self, pts: np.ndarray):
+        """K^m times the unit space form's contraction, over (2 pi)^m."""
+        n = len(self.axes)
+        m = n // 2
+        return self.gauss(pts) ** m * _unit_contraction(n) / (2.0 * math.pi) ** m
 
     def __repr__(self):
-        return f"<{type(self).__name__} {self.name!r}>"
+        return f"<CurvedManifold {self.name!r}>"
 
 
-class RoundSphere2(CurvedManifold):
+def _round_sphere(n: int, radius: float, top: tuple) -> CurvedManifold:
+    """S^n of radius r on polar angles (psi_1, ..., psi_{n-1}, phi):
+    sqrt g = r^n prod_k sin(psi_k)^(n-k), K = 1 / r^2."""
+    r = float(radius)
+    if not r > 0:
+        raise GbcError("radius must be positive")
+    if not abs(n * math.log(r)) < LOG_RANGE:  # sqrt g scales as r^n, K^m as 1/r^n
+        raise GbcError(f"radius {r:g}: r^{n} or 1/r^{n} is not a normal float")
+    k, volume = 1.0 / r ** 2, r ** n
+
+    def sqrt_g(pts):
+        out = volume
+        for axis in range(n - 1):
+            out = out * np.sin(pts[:, axis]) ** (n - 1 - axis)
+        return out
+
+    return CurvedManifold(f"s{n}(r={r:g})", f"S{n}", (polar_rule,) * (n - 1) + (azimuth_rule,),
+                          top, sqrt_g, lambda pts: k)
+
+
+def RoundSphere2(radius: float = 1.0) -> CurvedManifold:
     """S^2 of radius r on the polar chart (theta, phi)."""
-
-    dimension = 2
-    oracle = "S2"
-    axes, top = (polar_rule, azimuth_rule), (64, 128)
-
-    def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise GbcError("radius must be positive")
-        self.radius = float(radius)
-        self.name = f"s2(r={self.radius:g})"
-
-    def sqrt_g(self, pts):
-        return self.radius ** 2 * np.sin(pts[:, 0])
-
-    def curvature_constant(self):
-        f = np.zeros((2, 2, 2, 2))
-        k = 1.0 / self.radius ** 2
-        f[0, 1, 0, 1] = k
-        f[1, 0, 0, 1] = -k
-        f[0, 1, 1, 0] = -k
-        f[1, 0, 1, 0] = k
-        return f
+    return _round_sphere(2, radius, (64, 128))
 
 
-class FlatTorusMetric(CurvedManifold):
-    """Flat unit-area T^2: zero curvature on the periodic angle chart [0, 2pi)^2."""
-
-    dimension = 2
-    oracle = "T2"
-    axes, top = (azimuth_rule, azimuth_rule), (64, 64)
-
-    def __init__(self):
-        self.name = "torus-flat"
-
-    def sqrt_g(self, pts):
-        return np.full(pts.shape[0], (0.5 / math.pi) ** 2)
-
-    def curvature_constant(self):
-        return np.zeros((2, 2, 2, 2))
+def RoundSphere4(radius: float = 1.0) -> CurvedManifold:
+    """S^4 of radius r on polar angles (psi1, psi2, psi3, phi)."""
+    return _round_sphere(4, radius, (16, 16, 16, 32))
 
 
-class EmbeddedTorus(CurvedManifold):
+def FlatTorusMetric() -> CurvedManifold:
+    """Flat unit-area T^2: K = 0 on the periodic angle chart [0, 2pi)^2."""
+    return CurvedManifold("torus-flat", "T2", (azimuth_rule, azimuth_rule), (64, 64),
+                          lambda pts: np.full(pts.shape[0], (0.5 / math.pi) ** 2),
+                          lambda pts: 0.0)
+
+
+def EmbeddedTorus(big_radius: float = 2.0, small_radius: float = 1.0) -> CurvedManifold:
     """Torus of revolution in R^3, chart (u, v) in [0, 2pi)^2.
 
-    Gauss curvature K = cos v / (r (R + r cos v)) varies along the tube,
-    so this catalog entry exercises the pointwise density path; the
-    positive outer and negative inner contributions cancel exactly.
+    Gauss curvature K = cos v / (r (R + r cos v)) varies along the tube;
+    the positive outer and negative inner contributions cancel exactly.
     """
-
-    dimension = 2
-    oracle = "T2"
-    axes, top = (azimuth_rule, azimuth_rule), (96, 96)
-
-    def __init__(self, big_radius: float = 2.0, small_radius: float = 1.0):
-        if small_radius <= 0 or big_radius <= small_radius:
-            raise GbcError("need 0 < small_radius < big_radius")
-        self.big_radius = float(big_radius)
-        self.small_radius = float(small_radius)
-        self.name = f"torus-embedded(R={self.big_radius:g},r={self.small_radius:g})"
-
-    def sqrt_g(self, pts):
-        return self.small_radius * (self.big_radius
-                                    + self.small_radius * np.cos(pts[:, 1]))
-
-    def curvature(self, pts):
-        k = np.cos(pts[:, 1]) / (self.small_radius * (
-            self.big_radius + self.small_radius * np.cos(pts[:, 1])))
-        f = np.zeros((pts.shape[0], 2, 2, 2, 2))
-        f[:, 0, 1, 0, 1] = k
-        f[:, 1, 0, 0, 1] = -k
-        f[:, 0, 1, 1, 0] = -k
-        f[:, 1, 0, 1, 0] = k
-        return f
-
-
-class RoundSphere4(CurvedManifold):
-    """S^4 of radius r on polar angles (psi1, psi2, psi3, phi)."""
-
-    dimension = 4
-    oracle = "S4"
-    axes, top = (polar_rule,) * 3 + (azimuth_rule,), (16, 16, 16, 32)
-
-    def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise GbcError("radius must be positive")
-        self.radius = float(radius)
-        self.name = f"s4(r={self.radius:g})"
-
-    def sqrt_g(self, pts):
-        return (self.radius ** 4 * np.sin(pts[:, 0]) ** 3
-                * np.sin(pts[:, 1]) ** 2 * np.sin(pts[:, 2]))
-
-    def curvature_constant(self):
-        k = 1.0 / self.radius ** 2
-        eye = np.eye(4)
-        return k * (np.einsum("ac,bd->abcd", eye, eye)
-                    - np.einsum("ad,bc->abcd", eye, eye))
+    big, small = float(big_radius), float(small_radius)
+    if not 0 < small < big:
+        raise GbcError("need 0 < small_radius < big_radius")
+    # sqrt g runs over r (R -+ r), and |K| up to 1 / (r (R - r))
+    log_r = math.log(small)
+    if not max(abs(log_r + math.log(big - small)), abs(log_r + math.log(big + small))) < LOG_RANGE:
+        raise GbcError(f"radii R={big:g}, r={small:g}: r (R +- r) or its reciprocal "
+                       "is not a normal float")
+    return CurvedManifold(
+        f"torus-embedded(R={big:g},r={small:g})", "T2", (azimuth_rule, azimuth_rule), (96, 96),
+        lambda pts: small * (big + small * np.cos(pts[:, 1])),
+        lambda pts: np.cos(pts[:, 1]) / (small * (big + small * np.cos(pts[:, 1]))))
 
 
 @dataclass(frozen=True)
@@ -306,24 +249,25 @@ def integrate_euler(manifold: CurvedManifold, scale: float = 1.0) -> GbcResult:
     )
 
 
+# name -> (constructor, the spec keys it takes as float arguments)
+_CATALOG = {
+    "s2": (RoundSphere2, ("radius",)),
+    "s4": (RoundSphere4, ("radius",)),
+    "torus-embedded": (EmbeddedTorus, ("big_radius", "small_radius")),
+    "torus-flat": (FlatTorusMetric, ()),
+}
+
+
 def catalog_manifold(spec) -> CurvedManifold:
     """Build a catalog manifold from a name or a JSON-style object."""
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec.get("name")
-    if name == "s2":
-        return RoundSphere2(radius=float(spec.get("radius", 1.0)))
-    if name == "torus-flat":
-        return FlatTorusMetric()
-    if name == "torus-embedded":
-        return EmbeddedTorus(
-            big_radius=float(spec.get("big_radius", 2.0)),
-            small_radius=float(spec.get("small_radius", 1.0)),
-        )
-    if name == "s4":
-        return RoundSphere4(radius=float(spec.get("radius", 1.0)))
-    raise GbcError(f"unknown catalog manifold {name!r}")
+    if not isinstance(name, str) or name not in _CATALOG:
+        raise GbcError(f"unknown catalog manifold {name!r}")
+    make, keys = _CATALOG[name]
+    return make(**{key: float(spec[key]) for key in keys if key in spec})
 
 
 def catalog_manifold_names() -> list:
-    return ["s2", "s4", "torus-embedded", "torus-flat"]
+    return sorted(_CATALOG)

@@ -1,6 +1,7 @@
 """Scenario runner: loading, validation, exit codes, reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,7 @@ def test_flatness_scan_bad_geometry_one_error_line(tmp_path, capsys, annulus):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: scenario 'annulus-hedgehog': ")
 _ROTATION = {"kind": "builtin", "name": "rotation", "dimension": 2}
+_S2 = {"kind": "curved", "name": "s2"}
 
 
 @pytest.mark.parametrize("method,domain,field,resolutions", [
@@ -227,8 +229,38 @@ _ROTATION = {"kind": "builtin", "name": "rotation", "dimension": 2}
      {"kind": "builtin", "name": "s2-rotation"}, {}),
     ("index-sum", {"kind": "torus", "periods": [1.0, 1.0, 1.0]},
      {"kind": "builtin", "name": "torus-sines"}, {}),
+    # json.dumps writes the non-finite floats as NaN, Infinity and -Infinity
+    ("index-sum", dict(_DISK, radius=math.nan), _ROTATION, {}),
+    ("index-sum", dict(_DISK, center=[math.nan, 0.0]), _ROTATION, {}),
+    ("boundary-theorem", dict(_DISK, radius=math.inf), _ROTATION, {}),
+    ("index-sum", _DISK, {"kind": "complex-product", "roots": [[math.nan, 0.0]]}, {}),
+    ("index-sum", {"kind": "torus", "periods": [math.nan, 1.0]},
+     {"kind": "builtin", "name": "torus-sines"}, {}),
+    ("index-sum", {"kind": "sphere", "radius": math.nan},
+     {"kind": "builtin", "name": "s2-rotation"}, {}),
+    ("gbc-integral", _S2, None, {"scale": math.nan}),
+    ("gbc-integral", dict(_S2, radius=-math.inf), None, {}),
+    # catalog radii that put sqrt g or K outside the normal floats
+    ("gbc-integral", dict(_S2, radius=1e-300), None, {}),
+    ("gbc-integral", dict(_S2, radius=1e200), None, {}),
+    ("gbc-integral", dict(_S2, name="s4", radius=1e100), None, {}),
+    ("gbc-integral", dict(_S2, name="s4", radius=1e-77), None, {}),
+    ("gbc-integral", {"kind": "curved", "name": "torus-embedded", "big_radius": 1e200,
+                      "small_radius": 1e199}, None, {}),
+    ("gbc-integral", {"kind": "curved", "name": "torus-embedded", "big_radius": 1e-160,
+                      "small_radius": 1e-161}, None, {}),
+    # resolutions must be positive numbers
+    ("gbc-integral", _S2, None, {"scale": -1}),
+    ("gbc-integral", _S2, None, {"scale": 0}),
+    ("index-sum", _DISK, _ROTATION, {"grid": True}),
+    ("gbc-integral", _S2, None, {"radial": "wide"}),
 ], ids=["no-dimension", "grid-not-a-number", "radius-not-a-number", "unknown-builtin",
-        "sphere-center-too-short", "torus-three-periods"])
+        "sphere-center-too-short", "torus-three-periods", "ball-radius-nan",
+        "ball-center-nan", "ball-radius-infinity", "complex-root-nan", "torus-period-nan",
+        "sphere-radius-nan", "gbc-scale-nan", "s2-radius-minus-infinity", "s2-radius-1e-300",
+        "s2-radius-1e200", "s4-radius-1e100", "s4-radius-1e-77", "torus-radii-1e200",
+        "torus-radii-1e-160", "gbc-scale-negative", "gbc-scale-zero",
+        "grid-boolean", "radial-not-a-number"])
 def test_malformed_scenario_one_error_line(tmp_path, capsys, method, domain,
                                            field, resolutions):
     path = write_scenario(tmp_path, {
@@ -240,6 +272,17 @@ def test_malformed_scenario_one_error_line(tmp_path, capsys, method, domain,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_number_past_the_float_range_is_bad_input(tmp_path, capsys):
+    text = json.dumps({"schema": 1, "name": "huge", "methods": ["gbc-integral"],
+                       "domain": _S2, "resolutions": {"scale": 1.5}})
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("1.5", "1e999"))
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: non-finite number 1e999 is not allowed\n"
 
 
 def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from eulerchar.gbc import (
     frame_contraction,
     integrate_euler,
     pfaffian,
+    space_form,
 )
 from eulerchar.winding import UndersampledError, ladder, scaled_count
 
@@ -32,6 +34,32 @@ RNG_SEED = 1729
 def random_antisymmetric(n, rng):
     a = rng.standard_normal((n, n))
     return a - a.T
+
+
+def random_curvature(n, rng, batch=()):
+    """Antisymmetric in (a, b) and in (c, d), but neither decomposable nor pair-symmetric."""
+    f = rng.standard_normal(batch + (n,) * 4)
+    f = f - np.swapaxes(f, -4, -3)
+    return f - np.swapaxes(f, -2, -1)
+
+
+def permutation_sign(p):
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+def brute_force_contraction(f):
+    """eps_a eps_c F...F / (4^m m!) by the definition: every pair of permutations."""
+    n = f.shape[-1]
+    m = n // 2
+    signed = [(p, permutation_sign(p)) for p in permutations(range(n))]
+    total = 0.0
+    for pa, sa in signed:
+        for pc, sc in signed:
+            term = sa * sc
+            for k in range(0, n, 2):
+                term *= f[pa[k], pa[k + 1], pc[k], pc[k + 1]]
+            total += term
+    return total / (4 ** m * math.factorial(m))
 
 
 def test_pfaffian_small_cases():
@@ -79,17 +107,16 @@ def test_sphere_density_matches_gauss_curvature():
     # surface: density = K / (2 pi); round sphere K = 1 / r^2
     for r in (0.5, 1.0, 3.0):
         s = RoundSphere2(radius=r)
-        f = s.curvature_constant()
-        val = euler_density_value(f)
-        assert abs(val - 1.0 / (2.0 * math.pi * r * r)) < 1e-14
+        for val in (s.euler_density(np.zeros((1, 2))),
+                    euler_density_value(space_form(2) / (r * r))):
+            assert abs(val - 1.0 / (2.0 * math.pi * r * r)) < 1e-14
 
 
 def test_s4_constant_curvature_density():
     # constant curvature kappa: eps eps F F = 96 kappa^2, density 3 kappa^2 / (2 pi)^2
     s = RoundSphere4(radius=1.0)
-    f = s.curvature_constant()
-    val = euler_density_value(f)
-    assert abs(val - 3.0 / (2.0 * math.pi) ** 2) < 1e-14
+    for val in (s.euler_density(np.zeros((1, 4))), euler_density_value(space_form(4))):
+        assert abs(val - 3.0 / (2.0 * math.pi) ** 2) < 1e-14
 
 
 def test_flat_torus_zero_density():
@@ -152,7 +179,7 @@ def test_scale_refinement_keeps_answer():
     fine = integrate_euler(RoundSphere2(), scale=2.0)
     assert coarse.rounded == fine.rounded == 2
     assert (coarse.raw, coarse.error, coarse.nodes) == (fine.raw, fine.error, fine.nodes)
-    tops = [tuple(scaled_count(c, s) for c in RoundSphere2.top) for s in (0.5, 2.0)]
+    tops = [tuple(scaled_count(c, s) for c in RoundSphere2().top) for s in (0.5, 2.0)]
     assert tops == [(32, 64), (128, 256)]
     assert ladder(tops[0], (4, 4)) == ladder(tops[1], (4, 4))[:4]
 
@@ -175,8 +202,8 @@ def test_catalog_manifold_lookup():
     assert set(catalog_manifold_names()) == {"s2", "s4", "torus-embedded",
                                              "torus-flat"}
     m = catalog_manifold({"name": "s2", "radius": 3.0})
-    assert isinstance(m, RoundSphere2) and m.radius == 3.0
-    assert isinstance(catalog_manifold("torus-flat"), FlatTorusMetric)
+    assert m.name == "s2(r=3)" and m.oracle == "S2"
+    assert catalog_manifold("torus-flat").name == FlatTorusMetric().name
     with pytest.raises(GbcError):
         catalog_manifold("hyperbolic")
 
@@ -199,6 +226,28 @@ def test_contract_batch_rejects_non_antisymmetric():
     fs[3, 0, 0, 0, 1] = 0.5
     with pytest.raises(GbcError, match="not antisymmetric"):
         frame_contraction(fs)
+    # N = 4 too, and a break in one pair that keeps the other antisymmetric:
+    # F^{kk}_{01} = -F^{kk}_{10} != 0, or F^{01}_{kk} = -F^{10}_{kk} != 0
+    for n in (2, 4):
+        fs = random_curvature(n, rng, batch=(5,))
+        frame_contraction(fs)
+        k = n - 1
+        for one, other in (((k, k, 0, 1), (k, k, 1, 0)), ((0, 1, k, k), (1, 0, k, k))):
+            bad = fs.copy()
+            bad[(3,) + one], bad[(3,) + other] = 0.5, -0.5
+            with pytest.raises(GbcError, match="not antisymmetric"):
+                frame_contraction(bad)
+
+
+def test_frame_contraction_matches_brute_force():
+    # the matching sum is 1 term for N = 2 and 18 for N = 4; the definition 4 and 576
+    rng = np.random.default_rng(RNG_SEED + 4)
+    for n in (2, 4):
+        fs = random_curvature(n, rng, batch=(4,))
+        got = frame_contraction(fs)
+        for f, value in zip(fs, got):
+            want = brute_force_contraction(f)
+            assert abs(value - want) <= 1e-12 * abs(want)
 
 
 def test_frame_contraction_batch_matches_per_tensor():
