@@ -66,7 +66,8 @@ def load_scenario(ref: str) -> dict:
             raise ScenarioError(f"cannot read scenario {ref!r}: {e}") from None
         origin = ref
     try:
-        obj = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        obj = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number,
+                         parse_int=_finite_int)
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"{origin}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
@@ -83,6 +84,13 @@ def _finite_number(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {token} is not allowed")
     return value
+
+
+def _finite_int(token: str) -> int:
+    """JSON integer hook: an integer past the float range is bad input."""
+    if not math.isfinite(float(token)):
+        raise ValueError(f"integer of {len(token.lstrip('-'))} digits is past the float range")
+    return int(token)
 
 
 def validate_scenario(obj, origin: str):

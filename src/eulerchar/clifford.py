@@ -7,6 +7,12 @@ gamma_1 gamma_2, and index 2^N - 1 is the pseudoscalar.  A batch of
 points stacks coefficients along leading axes, (..., 2^N).  Products are
 evaluated through cached sign/index Cayley tables, which keeps the
 geometric product a single vectorized gather and signed sum.
+
+exp takes a closed form, exp B = C + B S with C and S in span{1, I},
+for bivectors in Cl(2)-Cl(4), and a scaled series for every other
+argument.  A product with a basis vector or the pseudoscalar is a signed
+permutation of coefficients, read from the same tables: versor_frame
+and the closed form use it in place of a full product.
 """
 
 from __future__ import annotations
@@ -234,7 +240,35 @@ def generator(a: int, b: int, dimension: int) -> Multivector:
     return (ga * gb - gb * ga) * 0.25
 
 
-def exp(a: Multivector) -> Multivector:
+def _times_blade(a: Multivector, mask: int) -> np.ndarray:
+    """Coefficients of a * blade(mask), a signed permutation of a's: blade
+    k ^ mask times blade mask lands on k."""
+    partner, signs, _ = _tables(a.dimension)
+    src = partner[:, mask]
+    return a.coeffs[..., src] * signs[src, np.arange(src.size)]
+
+
+def _bivector_exp(b: Multivector) -> Multivector:
+    """exp B = C + B S for a bivector B in Cl(2)-Cl(4), where B^2 = s + p I.
+
+    I commutes with the even part, and in Cl(4) I^2 = 1, so span{1, I}
+    splits over the idempotents (1 +- I)/2 and C, S are cos r, sin r / r
+    at r+- = sqrt(-(s +- p)) (Roelfs & De Keninck, arXiv:2107.03771).
+    Below N = 4, p = 0 and this is Rodrigues' formula.
+    """
+    top = (1 << b.dimension) - 1
+    square = (b * b).coeffs
+    s, p = square[..., 0], square[..., top]
+    r = np.sqrt(np.maximum(0.0, -np.stack([s + p, s - p])))
+    cos, sinc = np.cos(r), np.sinc(r / np.pi)
+    out = b.coeffs * ((sinc[0] + sinc[1]) / 2)[..., None] \
+        + _times_blade(b, top) * ((sinc[0] - sinc[1]) / 2)[..., None]
+    out[..., 0] += (cos[0] + cos[1]) / 2
+    out[..., top] += (cos[0] - cos[1]) / 2
+    return Multivector(b.dimension, out)
+
+
+def _series_exp(a: Multivector) -> Multivector:
     """Series exponential with scaling and squaring, point by point."""
     n = np.max(np.abs(a.coeffs), axis=-1)
     squarings = np.zeros(n.shape, dtype=int)
@@ -252,6 +286,24 @@ def exp(a: Multivector) -> Multivector:
     return acc
 
 
+def exp(a: Multivector) -> Multivector:
+    """Exponential, point by point.
+
+    In Cl(2)-Cl(4), points whose coefficients are exactly zero outside
+    grade 2 take the closed form of _bivector_exp.  Every other point (any
+    point for N >= 5, a non-bivector, a bivector with rounding leakage)
+    takes the series with scaling and squaring.
+    """
+    if not 2 <= a.dimension <= 4:
+        return _series_exp(a)
+    bivector = ~np.any(a.coeffs[..., blade_grades(a.dimension) != 2], axis=-1)
+    out = np.empty_like(a.coeffs)
+    for points, method in ((bivector, _bivector_exp), (~bivector, _series_exp)):
+        if np.any(points):
+            out[points] = method(Multivector(a.dimension, a.coeffs[points])).coeffs
+    return Multivector(a.dimension, out)
+
+
 def random_bivector(dimension: int, rng: np.random.Generator,
                     scale: float = 1.0) -> Multivector:
     g = blade_grades(dimension)
@@ -266,7 +318,9 @@ def random_rotor(dimension: int, rng: np.random.Generator,
     """exp of a random bivector: a unit versor in the spin group.
 
     One Newton-Schulz step U (3 - U~U)/2 squares away the small
-    non-unitarity the truncated exponential leaves on large arguments.
+    non-unitarity the truncated series leaves on large arguments.  It
+    matters for N >= 5: in Cl(2)-Cl(4) exp takes its closed form, which
+    is unit to rounding.
     """
     u = exp(random_bivector(dimension, rng, scale))
     correction = Multivector.scalar(dimension, 1.5) - (u.reverse() * u) * 0.5
@@ -313,7 +367,7 @@ def versor_frame(rotor: Multivector) -> Frame:
     rrev = rotor.reverse()
     vectors = []
     for a in range(1, n + 1):
-        u = rrev * gamma(n, a) * rotor
+        u = Multivector(n, _times_blade(rrev, 1 << (a - 1))) * rotor  # (U~ gamma_a) U
         leak = (u - u.grade_project(1)).norm()
         if leak > VERSOR_TOL:
             raise CliffordError(f"frame vector {a} is not grade 1 (leak {leak:.3e})")

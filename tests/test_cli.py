@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,9 @@ _S2 = {"kind": "curved", "name": "s2"}
     ("gbc-integral", dict(_S2, radius=1e200), None, {}),
     ("gbc-integral", dict(_S2, name="s4", radius=1e100), None, {}),
     ("gbc-integral", dict(_S2, name="s4", radius=1e-77), None, {}),
+    # a 401-digit integer literal, which float() cannot hold
+    ("gbc-integral", dict(_S2, radius=10 ** 400), None, {}),
+    ("index-sum", dict(_DISK, radius=10 ** 400), _ROTATION, {}),
     ("gbc-integral", {"kind": "curved", "name": "torus-embedded", "big_radius": 1e200,
                       "small_radius": 1e199}, None, {}),
     ("gbc-integral", {"kind": "curved", "name": "torus-embedded", "big_radius": 1e-160,
@@ -258,7 +262,8 @@ _S2 = {"kind": "curved", "name": "s2"}
         "sphere-center-too-short", "torus-three-periods", "ball-radius-nan",
         "ball-center-nan", "ball-radius-infinity", "complex-root-nan", "torus-period-nan",
         "sphere-radius-nan", "gbc-scale-nan", "s2-radius-minus-infinity", "s2-radius-1e-300",
-        "s2-radius-1e200", "s4-radius-1e100", "s4-radius-1e-77", "torus-radii-1e200",
+        "s2-radius-1e200", "s4-radius-1e100", "s4-radius-1e-77", "s2-radius-401-digit-int",
+        "ball-radius-401-digit-int", "torus-radii-1e200",
         "torus-radii-1e-160", "gbc-scale-negative", "gbc-scale-zero",
         "grid-boolean", "radial-not-a-number"])
 def test_malformed_scenario_one_error_line(tmp_path, capsys, method, domain,
@@ -283,6 +288,13 @@ def test_number_past_the_float_range_is_bad_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: non-finite number 1e999 is not allowed\n"
+
+
+def test_readme_sample_is_the_program_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = readme.split("$ eulerchar run s2-rotation\n", 1)[1].split("```", 1)[0]
+    assert main(["run", "s2-rotation"]) == 0
+    assert capsys.readouterr().out == sample
 
 
 def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):

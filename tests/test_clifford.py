@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eulerchar import clifford
 from eulerchar.clifford import (
     Multivector,
     commutator,
@@ -97,9 +98,71 @@ def test_exp_of_plane_bivector_is_rotor():
 
 def test_exp_large_argument_scaling():
     n = 3
-    u = exp(generator(1, 3, n) * 40.0)  # forces many squarings
+    u = exp(generator(1, 3, n) * 40.0)  # a bivector: the closed form, no squarings
     norm = (u * u.reverse()).scalar_part()
     assert abs(norm - 1.0) < 1e-10
+
+
+def test_series_exp_large_argument_scaling(monkeypatch):
+    # arguments outside the closed form: a Cl(5) bivector, a Cl(3) bivector plus a scalar
+    closed = clifford._bivector_exp
+    monkeypatch.setattr(clifford, "_bivector_exp", None)
+    u = exp(generator(1, 3, 5) * 40.0)  # forces many squarings
+    assert abs((u * u.reverse()).scalar_part() - 1.0) < 1e-10
+    b = generator(1, 3, 3) * 40.0
+    shifted = exp(b + Multivector.scalar(3, 0.5)).coeffs
+    want = math.exp(0.5) * closed(b).coeffs
+    assert np.max(np.abs(shifted - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _isoclinic(rng, theta):
+    """R (theta (gamma_12 + gamma_34)) R~ in Cl(4): B^2 = s + p I with s + p = 0."""
+    r = random_rotor(4, rng)
+    return r * (generator(1, 2, 4) + generator(3, 4, 4)) * (2.0 * theta) * r.reverse()
+
+
+def _bivector_cases(n, rng):
+    yield Multivector.zero(n)
+    yield generator(1, 2, n) * 1.3 + generator(1, n, n) * -0.4  # simple: one plane
+    for scale in (0.01, 0.1, 0.5, 1.5, 5.0, 40.0):
+        for _ in range(20):
+            yield random_bivector(n, rng, scale)
+    if n == 4:
+        yield (generator(1, 2, 4) + generator(3, 4, 4)) * 1.1   # exactly s + p = 0
+        yield (generator(1, 2, 4) - generator(3, 4, 4)) * 0.7   # exactly s - p = 0
+        for theta in np.geomspace(0.05, 20.0, 30):
+            b = _isoclinic(rng, theta)
+            # a rotated isoclinic B keeps rounding outside grade 2; drop it
+            yield b.grade_project(2)
+
+
+def test_bivector_exp_matches_series():
+    rng = np.random.default_rng(RNG_SEED + 11)
+    above_zero = 0
+    for n in (2, 3, 4):
+        for b in _bivector_cases(n, rng):
+            got = exp(b).coeffs
+            want = clifford._series_exp(b).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            square = (b * b).coeffs
+            above_zero += n == 4 and square[0] + square[-1] > 0
+    assert np.array_equal(exp(Multivector.zero(4)).coeffs, Multivector.scalar(4, 1.0).coeffs)
+    # rounding pushed s + p above zero on some isoclinic cases
+    assert above_zero > 0
+
+
+def test_batched_bivector_exp_matches_per_point():
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for n in (2, 3, 4):
+        x = np.stack([b.coeffs for b in _bivector_cases(n, rng)])
+        batch = exp(Multivector(n, x)).coeffs
+        for i in range(len(x)):
+            assert np.array_equal(batch[i], exp(Multivector(n, x[i])).coeffs)
+    # a batch mixing bivectors and other points takes the closed form per point
+    x[::3, 0] = 0.25
+    batch = exp(Multivector(4, x)).coeffs
+    for i in range(len(x)):
+        assert np.array_equal(batch[i], exp(Multivector(4, x[i])).coeffs)
 
 
 def test_generator_commutation_with_gammas():
@@ -177,6 +240,22 @@ def test_versor_frame_rejects_odd_elements():
 def test_versor_frame_rejects_non_unit():
     with pytest.raises(ValueError):
         versor_frame(Multivector.scalar(2, 2.0))
+
+
+def test_versor_frame_matches_two_product_reference():
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for n in range(2, 7):
+        one = random_rotor(n, rng)
+        batch = Multivector(n, np.stack([random_rotor(n, rng).coeffs for _ in range(6)]))
+        for rotor in (one, batch):
+            frame = versor_frame(rotor)
+            for a in range(1, n + 1):
+                want = (rotor.reverse() * gamma(n, a) * rotor).grade_project(1)
+                assert np.array_equal(frame.vectors[a - 1].coeffs, want.coeffs)
+        with pytest.raises(ValueError, match="not unit"):
+            versor_frame(one * 1.001)
+        with pytest.raises(ValueError, match="odd-grade"):
+            versor_frame(one * gamma(n, 1))
 
 
 def test_random_bivector_is_grade_two():
