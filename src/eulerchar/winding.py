@@ -22,16 +22,20 @@ rows; like any cofactor expansion it is a polynomial in the entries.
 The integral climbs a ladder of rules, as the quadratures of gbc and
 connection do, through climb: level k below the top rule (the caller's
 or the default) has ceil(top / 2^k) nodes per axis, down to
-_LADDER_START.  Below the top the climb stops as soon as two
-consecutive levels agree to AGREE_TOL at a value within MAX_RESIDUAL of
-an integer; levels that agree off an integer mean a zero on or near the
-sphere, so the climb goes on.  At the top the result stands if it lies
-within MAX_RESIDUAL of an integer and the level below agrees with it to
-within MAX_RESIDUAL; otherwise, and on a rule with no level below it,
-UndersampledError.  The gap between the last two levels is the result's
-error estimate: for these analytic, periodic integrands the error falls
-geometrically with the node count (Trefethen & Weideman, SIAM Rev. 56,
-2014), so it bounds the error of the finer level.  In the plane a
+_LADDER_START.  Below the top the climb stops at a value within
+MAX_RESIDUAL of an integer once two consecutive levels agree to
+AGREE_TOL or, from the third level on, once the gaps shrink
+geometrically: the last is at most 1/8 of the one before, and gap^2 <=
+AGREE_TOL times the one before.  For these analytic, periodic integrands
+the error falls geometrically with the node count (Trefethen & Weideman,
+SIAM Rev. 56, 2014), so the last gap bounds the finer level's error and
+gap^2 over the one before estimates it.  Levels that agree off an integer
+mean a zero on or near the sphere, so the climb goes on.  At the top the
+result stands if it lies within MAX_RESIDUAL of an integer and the level
+below agrees with it to within MAX_RESIDUAL; otherwise, and on a rule
+with no level below it, UndersampledError.  The last gap is the result's
+error; below the top it may exceed AGREE_TOL, up to sqrt(AGREE_TOL times
+the gap before it).  In the plane a
 doubled trapezoid rule's even nodes are the level below, so a level
 reuses the field values of the one below and the first two come from
 one field call.  On the line the "sphere" S^0 is the two points z +- r,
@@ -281,9 +285,14 @@ def climb(levels, build, sample, value, nests: bool = False) -> tuple:
         values.append(value(wts, samples))
         if len(values) > 1:
             gap, off = abs(values[-1] - values[-2]), values[-1] - round(values[-1])
+            below_top = k + 1 < len(levels)
+            prev = abs(values[-2] - values[-3]) if len(values) > 2 else 0.0
+            # from the third level, gaps that shrink geometrically put the error near
+            # gap^2 / prev; at the second level prev is 0, so only the gap decides
+            geometric = below_top and 8.0 * gap <= prev and gap * gap <= AGREE_TOL * prev
             # below the top, agreement off an integer means a nearby singularity: climb on
-            if abs(off) <= MAX_RESIDUAL and gap <= (AGREE_TOL if k + 1 < len(levels)
-                                                    else MAX_RESIDUAL):
+            if abs(off) <= MAX_RESIDUAL and (geometric or gap <= (AGREE_TOL if below_top
+                                                                  else MAX_RESIDUAL)):
                 return values[-1], gap, nodes
     top = math.prod(levels[-1])
     if len(values) < 2:
@@ -305,7 +314,7 @@ class WindingResult:
     raw: float
     rounded: int
     residual: float
-    error: float     # gap between the last two ladder levels
+    error: float     # gap between the last two ladder levels; may exceed AGREE_TOL
     center: tuple
     radius: float
 

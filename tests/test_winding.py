@@ -1,11 +1,15 @@
 """Sphere quadrature and winding numbers, cross-checked by two oracles."""
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from eulerchar import winding
 from eulerchar.domains import BallDomain
 from eulerchar.fields import (
     CallableField,
@@ -30,6 +34,7 @@ from eulerchar.winding import (
     UndersampledError,
     ZeroOnSphereError,
     _degree_density,
+    climb,
     default_quadrature,
     ladder,
     oracle_degree_anglesum,
@@ -136,17 +141,20 @@ def _one_shot_winding(field, center, radius, quad):
     return radius ** (n - 1) * float(np.dot(quad.weights, dets)) / sphere_area(n)
 
 
-def test_blocked_winding_matches_one_shot_sum():
+def test_blocked_winding_matches_one_shot_sum(monkeypatch):
+    monkeypatch.setattr(winding, "BLOCK", 1024)
     q = SphereQuadrature.build(3, counts=(96, 192))
-    assert q.size == 18432 and q.size > 2 * BLOCK
     # z^2 in the (x, y) plane, tilted by z: degree 2 inside the sphere
-    f = PolynomialField(3, [
+    f = _Tally(PolynomialField(3, [
         [((2, 0, 0), 1.0), ((0, 2, 0), -1.0), ((0, 0, 1), 0.3)],
         [((1, 1, 0), 2.0), ((0, 0, 1), -0.2)],
         [((0, 0, 1), 1.0), ((1, 0, 0), 0.4)],
-    ])
+    ]))
     w = winding_number(f, (0.05, -0.1, 0.0), 0.9, q)
-    ref = _one_shot_winding(f, (0.05, -0.1, 0.0), 0.9, q)
+    # the climb stops below the top, on a level that spans more than two blocks
+    stop = SphereQuadrature.build(3, counts=(48, 96))
+    assert sum(f.calls) == 72 + 288 + 1152 + stop.size and stop.size > 2 * 1024
+    ref = _one_shot_winding(f, (0.05, -0.1, 0.0), 0.9, stop)
     assert w.rounded == oracle_degree_preimage(f, (0.05, -0.1, 0.0), 0.9)
     assert abs(w.raw - ref) < 1e-13
 
@@ -427,6 +435,86 @@ def test_top_rule_near_a_wrong_integer_is_rejected():
     with pytest.raises(UndersampledError, match="from the level below"):
         winding_number(f, (0.0, 0.0), 1.0, SphereQuadrature.build(2, counts=(24,)))
     assert winding_number(f, (0.0, 0.0), 1.0).rounded == 1
+
+
+# -- the climb on synthetic ladders --------------------------------------
+
+
+def _synthetic_climb(readings, nests=False):
+    """climb over one-axis levels of 4, 8, 16, ... nodes, level k reading readings[k]:
+    (value, error, nodes, point counts of the sample calls)."""
+    calls = []
+    read = {4 << k: r for k, r in enumerate(readings)}
+
+    def sample(nodes):
+        calls.append(len(nodes))
+        return np.zeros(len(nodes))
+
+    value, error, nodes = climb(tuple((4 << k,) for k in range(len(readings))),
+                                lambda counts: (np.zeros((counts[0], 1)), np.ones(counts[0])),
+                                sample, lambda wts, samples: read[len(wts)], nests=nests)
+    return value, error, nodes, calls
+
+
+# the first three read as the levels of the quaternion enclosing winding of balls-4d
+# seed 1, round 0; the rest read as its top does
+_QUATERNION_READINGS = [2.016685, 2.0000287, 2.0 + 1e-10, 2.0, 2.0]
+
+
+def test_a_climb_stops_at_the_third_level_once_its_gaps_shrink_geometrically():
+    readings = [2.0 + 1e-7 + 1e-3, 2.0 + 1e-7, 2.0, 2.0]
+    assert _synthetic_climb(readings)[:3] == (2.0, abs(readings[2] - readings[1]), 4 + 8 + 16)
+    # the gap 2.9e-5 is above AGREE_TOL, but its square over the gap before it is 5e-8
+    value, error, nodes, calls = _synthetic_climb(_QUATERNION_READINGS)
+    assert (value, nodes, calls) == (2.0 + 1e-10, 4 + 8 + 16, [4, 8, 16])
+    assert error == abs(_QUATERNION_READINGS[2] - _QUATERNION_READINGS[1]) > AGREE_TOL
+
+
+@pytest.mark.parametrize("gaps", [(1e-4, 2e-5), (1e-3, 1.2e-4)])
+def test_a_climb_whose_gaps_shrink_slowly_climbs_on(gaps):
+    # a ratio above 1/8, or a gap whose square exceeds AGREE_TOL times the one before
+    readings = [2.0 + gaps[0] + gaps[1], 2.0 + gaps[1], 2.0, 2.0, 2.0]
+    assert _synthetic_climb(readings)[1:3] == (0.0, 4 + 8 + 16 + 32)
+
+
+def test_geometric_gaps_off_an_integer_never_stop_early():
+    # a spike near the sphere: the levels converge, but half-way between integers
+    readings = [2.5 + 1e-2, 2.5 + 1e-5, 2.5 + 1e-10, 2.5, 2.5]
+    with pytest.raises(UndersampledError, match="from an integer"):
+        _synthetic_climb(readings)
+
+
+def test_a_two_level_ladder_and_the_top_keep_their_rule():
+    assert _synthetic_climb([2.05, 2.0])[:3] == (2.0, pytest.approx(0.05), 4 + 8)
+    with pytest.raises(UndersampledError, match="from the level below"):
+        _synthetic_climb([2.3, 2.0])
+    with pytest.raises(UndersampledError, match="from an integer"):
+        _synthetic_climb([2.45, 2.45])
+    # at the top only the gap counts, however fast it shrank
+    with pytest.raises(UndersampledError, match="from the level below"):
+        _synthetic_climb([5000.0, 2.2, 2.0])
+
+
+def test_a_nested_ladder_counts_reused_nodes_once():
+    # levels 4 and 8 come from one call on 8 nodes, level 16 samples its 8 odd nodes
+    value, _, nodes, calls = _synthetic_climb(_QUATERNION_READINGS, nests=True)
+    assert (value, nodes, calls) == (2.0 + 1e-10, 16, [8, 8])
+
+
+# a root at least 0.2 from the unit circle
+_ROOT = st.builds(cmath.rect, st.one_of(st.floats(0.0, 0.8), st.floats(1.2, 2.0)),
+                  st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(roots=st.lists(_ROOT, max_size=3), conj_roots=st.lists(_ROOT, max_size=3))
+def test_complex_product_winding_stops_close_to_the_top_rule_property(roots, conj_roots):
+    assume(roots or conj_roots)
+    f = ComplexProductField(roots=roots, conj_roots=conj_roots)
+    w = winding_number(f, (0.0, 0.0), 1.0)
+    inside = lambda zs: sum(abs(z) < 1.0 for z in zs)
+    assert w.rounded == inside(roots) - inside(conj_roots)
+    assert abs(w.raw - _one_shot_winding(f, (0.0, 0.0), 1.0, default_quadrature(2))) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

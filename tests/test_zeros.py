@@ -12,6 +12,7 @@ from eulerchar.domains import BallDomain, BoxDomain
 from eulerchar.fields import (
     CallableField,
     ComplexProductField,
+    PolynomialField,
     VectorField,
     complex_power_field,
     constant_field,
@@ -314,6 +315,59 @@ def test_enclosing_model_subtraction_keeps_a_quaternion_product_at_degree_2():
     result = index_sum_with_excision(f, ball)
     assert result.enclosing_winding == result.zero_sum == result.oracle_degree == 2
     assert len(result.zeros) == 2
+
+
+# e_i e_j = sign e_k for the quaternion units (1, i, j, k): the (i, j, sign) of component k
+_HAMILTON = ([(0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)],
+             [(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)],
+             [(0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)],
+             [(0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)])
+
+
+def _quaternion_product_polynomial(a, b) -> PolynomialField:
+    """(q - a)(q - b) expanded into monomials, as a scenario file spells it:
+    (x_i - a_i)(x_j - b_j) = x_i x_j - b_j x_i - a_i x_j + a_i b_j."""
+    exps = lambda *axes: tuple(axes.count(k) for k in range(4))
+    comps = []
+    for terms in _HAMILTON:
+        poly = {}
+        for i, j, sign in terms:
+            for e, c in ((exps(i, j), 1.0), (exps(i), -b[j]), (exps(j), -a[i]),
+                         (exps(), a[i] * b[j])):
+                poly[e] = poly.get(e, 0.0) + sign * c
+        comps.append(sorted(poly.items()))
+    return PolynomialField(4, comps)
+
+
+class _SphereRows(VectorField):
+    """Counts the jet_many rows that lie on the sphere |x - center| = radius."""
+
+    def __init__(self, field, center, radius):
+        self.dimension, self.name, self.field = field.dimension, field.name, field
+        self.center, self.radius, self.rows = np.asarray(center), radius, 0
+
+    def evaluate_many(self, pts):
+        return self.field.evaluate_many(pts)
+
+    def jet_many(self, pts):
+        dist = np.linalg.norm(np.asarray(pts) - self.center, axis=1)
+        if np.all(np.abs(dist - self.radius) <= 1e-12 * self.radius):
+            self.rows += len(pts)
+        return self.field.jet_many(pts)
+
+
+def test_a_quaternion_enclosing_winding_stops_below_the_top():
+    # the quaternion product of balls-4d seed 1, round 0: its affine fit fails the gate,
+    # so the plain field is wound; its levels read 2.016685, 2.0000287 and 2 to 1e-10
+    center = (0.00709297482015403, 0.2702782177955612, -0.21350423236821975, 0.2691896682823463)
+    a = [0.1359533989784676, 0.1152693397242536, -0.04574573977256374, 0.37443525465199257]
+    b = [0.0227877277565625, 0.5721729613054398, -0.6201739533122663, 0.17923084497121441]
+    ball = BallDomain(center, 1.1559157260052428)
+    field = _SphereRows(_quaternion_product_polynomial(a, b), ball.center, ball.radius)
+    result = index_sum_with_excision(field, ball)
+    assert result.enclosing_winding == result.zero_sum == 2
+    assert abs(result.enclosing_raw - 2.0) <= 1e-6
+    assert field.rows < 432 + 3456 + 27648 + 221184  # the top is never sampled
 
 
 # lattice sites 0.35 apart with |z| <= 0.7; a jitter of at most 0.05 per axis
