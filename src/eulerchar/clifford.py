@@ -4,9 +4,11 @@ A multivector is stored densely as 2^N coefficients indexed by blade
 bitmasks: bit a of the index set means the basis vector gamma_{a+1} is a
 factor of that blade, so index 0 is the scalar, index 0b11 is
 gamma_1 gamma_2, and index 2^N - 1 is the pseudoscalar.  A batch of
-points stacks coefficients along leading axes, (..., 2^N).  Products are
-evaluated through cached sign/index Cayley tables, which keeps the
-geometric product a single vectorized gather and signed sum.
+points stacks coefficients along leading axes, (..., 2^N).  A product
+multiplies only the blades present in its operands (nonzero at any point
+of the batch), through the sign/index Cayley table restricted to that
+pair of supports and cached per pair, so it is one vectorized gather and
+signed sum with the dense table's bits.
 
 exp takes a closed form, exp B = C + B S with C and S in span{1, I},
 for bivectors in Cl(2)-Cl(4), and a scaled series for every other
@@ -63,6 +65,24 @@ def _tables(n: int):
 
 def blade_grades(n: int) -> np.ndarray:
     return _tables(n)[2]
+
+
+def _support(coeffs: np.ndarray) -> int:
+    """Bitmask of the blades with a nonzero coefficient at any point."""
+    present = coeffs.reshape(-1, coeffs.shape[-1]).any(axis=0)
+    return int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+
+
+@lru_cache(maxsize=256)
+def _product_tables(n: int, support_a: int, support_b: int):
+    """(rows, cols, src, signs): the Cayley table of Cl(n) restricted to the
+    present blades of a (rows) and the blades a ^ b they reach (cols);
+    blade a = rows[i] times blade src[i, j] lands on cols[j]."""
+    partner, signs, _ = _tables(n)
+    rows, bs = ([k for k in range(1 << n) if s >> k & 1] for s in (support_a, support_b))
+    cols = np.unique(partner[np.ix_(rows, bs)])
+    cut = np.ix_(rows, cols)
+    return np.array(rows, dtype=int), cols, partner[cut], signs[cut]
 
 
 class Multivector:
@@ -141,10 +161,14 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_peer(other)
-            partner, signs, _ = _tables(self.dimension)
-            # ascending sum over a, row by row: a batch row has a single point's bits
-            terms = (self.coeffs[..., :, None] * other.coeffs[..., partner]) * signs
-            return Multivector(self.dimension, terms.sum(axis=-2))
+            rows, cols, src, signs = _product_tables(
+                self.dimension, _support(self.coeffs), _support(other.coeffs))
+            # ascending sum over a, row by row: a batch row has a single point's bits;
+            # the rows and columns left out hold only exact-zero terms
+            terms = (self.coeffs[..., rows, None] * other.coeffs[..., src]) * signs
+            out = np.zeros(np.broadcast_shapes(self.coeffs.shape, other.coeffs.shape))
+            out[..., cols] = terms.sum(axis=-2)
+            return Multivector(self.dimension, out)
         if isinstance(other, (int, float)):
             return Multivector(self.dimension, self.coeffs * other)
         return NotImplemented
@@ -181,9 +205,6 @@ class Multivector:
         present = (np.abs(self.coeffs) > tol).reshape(-1, g.size).any(axis=0)
         return sorted(set(g[present].tolist()))
 
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
     def vector_part(self) -> np.ndarray:
         return self.coeffs[..., [1 << a for a in range(self.dimension)]]
 
@@ -192,10 +213,6 @@ class Multivector:
     def norm(self) -> float:
         """Max-abs over blade coefficients (and over the points of a batch)."""
         return float(np.max(np.abs(self.coeffs)))
-
-    def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        self._check_peer(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
     def __repr__(self):
         if self.coeffs.ndim > 1:

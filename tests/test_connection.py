@@ -326,6 +326,20 @@ def test_decompose_check_makes_one_frame_call():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n, points, seed, want", [
+    (4, 20, 4, "FlatnessReport(points_checked=20, max_curvature_norm=3.300908435477368e-08, "
+               "max_grade2_leakage=1.0330624084257597e-08, step=0.0001, fluxes=())"),
+    (3, 8, 3, "FlatnessReport(points_checked=8, max_curvature_norm=1.4390534097685759e-08, "
+              "max_grade2_leakage=6.341233042134187e-09, step=0.0001, fluxes=())"),
+], ids=["cl4-20-points", "cl3-8-points"])
+def test_rotor_flatness_scan_bits_are_pinned(n, points, seed, want):
+    # the reprs of the dense Cayley-table product: a product change that moves one bit fails
+    rng = np.random.default_rng(seed)
+    ff = random_rotor_frame_field(n, rng)
+    grid = rng.uniform(-1.2, 1.2, size=(points, n))
+    assert repr(flatness_scan(ff, grid)) == want
+
+
 def test_flatness_scan_needs_loop_radius_around_singular_points():
     with pytest.raises(ChartError, match="loop_radius"):
         flatness_scan(hedgehog_frame_field(1), grid_points=annulus_grid(0.5, 1.4, 2, 4))
