@@ -62,7 +62,9 @@ difference is rounding, and the first two levels agree.
 Two independent cross-checks live here as well: a 1-D angle-summation
 degree for planar fields, and a generic preimage-counting degree that
 triangulates the source sphere and counts signed simplices covering a
-probe direction.
+probe direction.  A simplex's barycentric coordinates of the probe come
+by Cramer's rule from the minors of the bordered rows [images | probe],
+built by the degree density's kernel, _minors.
 """
 
 from __future__ import annotations
@@ -498,8 +500,7 @@ def sphere_mesh(dimension: int, level: int):
 
     vv = np.stack(verts)
     cc = np.array(cells, dtype=int)
-    mats = vv[cc].transpose(0, 2, 1)
-    flip = np.linalg.det(mats) < 0.0
+    flip = _minors(np.take(vv.T, cc.T, axis=1))[tuple(range(dimension))] < 0.0
     cc[flip, -2:] = cc[flip, -2:][:, ::-1]
     return vv, cc
 
@@ -522,9 +523,7 @@ def oracle_degree_preimage(field: VectorField, center, radius: float) -> int:
         raise ZeroOnSphereError("field vanishes on the sampling sphere")
     images = phi / norms[:, None]
 
-    mats = images[cells].transpose(0, 2, 1)  # columns are image vertices
-    dets = np.linalg.det(mats)
-    regular = np.abs(dets) > 1e-12
+    rows = np.take(images.T, cells.T, axis=1)  # rows[r][j]: coordinate r of vertex j
     eps = 1e-9
 
     rng = np.random.default_rng(_RETRY_SEED)
@@ -532,13 +531,18 @@ def oracle_degree_preimage(field: VectorField, center, radius: float) -> int:
 
     for probe in candidates:
         probe = probe / np.linalg.norm(probe)
-        rhs = np.broadcast_to(probe, (int(regular.sum()), n))[:, :, None]
-        lam = np.linalg.solve(mats[regular], rhs)[:, :, 0]
-        inside = (lam > eps).all(axis=1)
-        outside = (lam < -eps).any(axis=1)
+        minors = _minors([[*r, p] for r, p in zip(rows, probe)])
+        dets = minors[tuple(range(n))]
+        # Cramer: moving the probe from last to column i takes n - 1 - i swaps
+        nums = np.stack([minors[tuple(j for j in range(n + 1) if j != i)] * (-1) ** (n - 1 - i)
+                         for i in range(n)])
+        # a singular cell (|det| <= 1e-12) reads lam = -1: outside, and never counted
+        lam = np.divide(nums, dets, out=np.full_like(nums, -1.0), where=np.abs(dets) > 1e-12)
+        inside = (lam > eps).all(axis=0)
+        outside = (lam < -eps).any(axis=0)
         if bool((~inside & ~outside).any()):
             continue  # probe grazes a face; try another
-        return int(np.sign(dets[regular][inside]).sum())
+        return int(np.sign(dets[inside]).sum())
     raise UndersampledError(
         "all probe directions graze image simplices; refine the mesh"
     )

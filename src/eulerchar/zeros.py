@@ -4,14 +4,16 @@ locate_zeros scans a coarse grid for cells where every field component
 changes sign (plus the lowest-magnitude cells as extra seeds), damped
 Newton polishes all candidates together, one jet call per step, and
 duplicates are merged; a seed whose full Newton step is longer than the
-domain's diameter is dropped rather than damped.  classify_zeros gives
-each zero it is handed a winding number from a quadrature sphere at its
-isolation radius, which every other located zero bounds.  A regular zero
-z is wound with the preconditioned field psi = J(z)^-1 phi, which is
-close to x - z, so its index is sign det J(z) times deg psi, and deg psi
-must round to +1.  A degenerate zero is wound with phi itself, and that
-winding is its index.  find_zeros runs both on the zeros inside one
-domain; the chart atlases of manifolds deduplicate in between.
+domain's diameter is dropped rather than damped.  The scan takes each
+cell's min and max over its 2^n corners one axis at a time, for all
+components together.  classify_zeros gives each zero it is handed a
+winding number from a quadrature sphere at its isolation radius, which
+every other located zero bounds.  A regular zero z is wound with the
+preconditioned field psi = J(z)^-1 phi, which is close to x - z, so its
+index is sign det J(z) times deg psi, and deg psi must round to +1.  A
+degenerate zero is wound with phi itself, and that winding is its
+index.  find_zeros runs both on the zeros inside one domain; the chart
+atlases of manifolds deduplicate in between.
 
 The enclosing sphere of index_sum_with_excision is preconditioned from
 its own samples, never from the zeros: phi ~ b + B s is fitted by
@@ -31,7 +33,6 @@ the per-zero windings independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -154,15 +155,14 @@ def _distinct(points, found, tol: float) -> np.ndarray:
     return found
 
 
-def _candidate_cells(vals_grid, res: int):
+def _candidate_cells(vals_grid):
     """Cells where every component spans zero; indices into the grid."""
-    n = vals_grid.shape[-1]
-    corners = [tuple(slice(o, o + res) for o in off) for off in np.ndindex(*(2,) * n)]
-    ok = True
-    for c in range(n):
-        blocks = [vals_grid[sl + (c,)] for sl in corners]
-        ok = ok & (reduce(np.minimum, blocks) <= 0.0) & (reduce(np.maximum, blocks) >= 0.0)
-    return np.argwhere(ok)
+    lo = hi = vals_grid
+    for axis in range(vals_grid.ndim - 1):
+        head = (slice(None),) * axis
+        lo = np.minimum(lo[head + (slice(None, -1),)], lo[head + (slice(1, None),)])
+        hi = np.maximum(hi[head + (slice(None, -1),)], hi[head + (slice(1, None),)])
+    return np.argwhere(((lo <= 0.0) & (hi >= 0.0)).all(axis=-1))
 
 
 def locate_zeros(field: VectorField, domain, resolution: int | None = None) -> np.ndarray:
@@ -186,7 +186,7 @@ def locate_zeros(field: VectorField, domain, resolution: int | None = None) -> n
     vals = field.evaluate_many(pts)
     vals_grid = vals.reshape(*(res + 1,) * n, n)
 
-    cells = _candidate_cells(vals_grid, res)
+    cells = _candidate_cells(vals_grid)
     widths = (hi - lo) / res
 
     # seeds: candidate cell centers, then the lowest-|phi| vertices

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -309,6 +310,91 @@ def test_preimage_oracle_random_rotated_linear():
             assert oracle_degree_preimage(f, (0.0,) * n, 1.0) == expected
             w = winding_number(f, (0.0,) * n, 1.0)
             assert w.rounded == expected
+
+
+def _lapack_preimage_degree(field, center, radius: float) -> int:
+    """The signed preimage count by LAPACK: det and solve on every cell's image matrix,
+    with the oracle's mesh, probes, regularity threshold and grazing tolerance."""
+    n = field.dimension
+    verts, cells = sphere_mesh(n, winding._DEFAULT_MESH_LEVEL[n])
+    phi = field.evaluate_many(np.asarray(center, dtype=float) + radius * verts)
+    mats = (phi / np.linalg.norm(phi, axis=1)[:, None])[cells].transpose(0, 2, 1)
+    dets = np.linalg.det(mats)
+    regular = np.abs(dets) > 1e-12
+    rng = np.random.default_rng(winding._RETRY_SEED)
+    for probe in [np.sin(np.arange(1, n + 1))] + [rng.normal(size=n) for _ in range(4)]:
+        probe = probe / np.linalg.norm(probe)
+        rhs = np.broadcast_to(probe, (int(regular.sum()), n))[:, :, None]
+        lam = np.linalg.solve(mats[regular], rhs)[:, :, 0]
+        inside, outside = (lam > 1e-9).all(axis=1), (lam < -1e-9).any(axis=1)
+        if not (~inside & ~outside).any():
+            return int(np.sign(dets[regular][inside]).sum())
+    raise UndersampledError("every probe grazes")
+
+
+def _quaternion_product(a, b) -> CallableField:
+    """(q - a)(q - b) on R^4 read as quaternions (w, x, y, z); values only."""
+    def mul(p, q):
+        pw, px, py, pz = p.T
+        qw, qx, qy, qz = q.T
+        return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                         pw * qx + px * qw + py * qz - pz * qy,
+                         pw * qy - px * qz + py * qw + pz * qx,
+                         pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+    return CallableField(4, lambda q: mul(q - a, q - b), None, batch=True)
+
+
+def _quadratic(a, mat, quad) -> CallableField:
+    """mat (x - a) + (x - a)^T quad_i (x - a) / 2 in component i; values only."""
+    def func(x):
+        d = x - a
+        return d @ mat.T + 0.5 * np.einsum("pj,ijk,pk->pi", d, quad, d)
+    return CallableField(len(a), func, None, batch=True)
+
+
+def _oracle_fields(rng):
+    """(field, center) pairs: random linear fields in R^2-R^4, complex products in
+    R^2, quadratic maps in R^3 and quaternion products in R^4, with zeros inside
+    and outside the unit sphere around the center, and two constant fields."""
+    cases = []
+    for n in (2, 3, 4):
+        for _ in range(4):
+            mat = rng.standard_normal((n, n))
+            cases.append(linear_field(mat, offset=-mat @ rng.uniform(-0.8, 0.8, n)))
+    for _ in range(4):
+        roots = rng.uniform(-1.3, 1.3, (rng.integers(1, 4), 2)) @ [1.0, 1j]
+        conj = rng.uniform(-1.3, 1.3, (rng.integers(0, 3), 2)) @ [1.0, 1j]
+        cases.append(ComplexProductField(roots=roots, conj_roots=conj))
+        cases.append(_quadratic(rng.uniform(-0.6, 0.6, 3), rng.standard_normal((3, 3)),
+                                rng.standard_normal((3, 3, 3))))
+        cases.append(_quaternion_product(rng.uniform(-0.6, 0.6, 4), rng.uniform(-0.6, 0.6, 4)))
+    cases += [quaternion_square_field(), constant_field([0.3, 0.8]),
+              constant_field([0.1, -0.2, 0.4, 0.9])]
+    return [(f, rng.uniform(-0.2, 0.2, f.dimension)) for f in cases]
+
+
+def test_preimage_oracle_matches_lapack_det_and_solve():
+    degrees = Counter()
+    for f, center in _oracle_fields(np.random.default_rng(RNG_SEED + 2)):
+        deg = oracle_degree_preimage(f, center, 1.0)
+        assert deg == _lapack_preimage_degree(f, center, 1.0), f.name
+        degrees[deg] += 1
+    assert len(degrees) >= 4  # the draws are not all one degree
+
+
+def test_preimage_oracle_retries_a_grazing_probe(monkeypatch):
+    # a rotation that maps the mesh vertex (1, 0) onto the first probe direction:
+    # that probe grazes the two cells at the vertex, so a seeded probe decides
+    p = np.sin(np.arange(1, 3))
+    p = p / np.linalg.norm(p)
+    f = linear_field([[p[0], -p[1]], [p[1], p[0]]])
+    assert np.array_equal(sphere_mesh(2, winding._DEFAULT_MESH_LEVEL[2])[0][0], [1.0, 0.0])
+    probes = []
+    minors = winding._minors
+    monkeypatch.setattr(winding, "_minors", lambda rows: probes.append(rows) or minors(rows))
+    assert oracle_degree_preimage(f, (0.0, 0.0), 1.0) == 1 == _lapack_preimage_degree(
+        f, (0.0, 0.0), 1.0)
+    assert len(probes) == 2
 
 
 def test_default_quadrature_cached_and_scaled():

@@ -1,6 +1,7 @@
 """Zero finding, per-zero indices, and the excision cross-check."""
 
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -545,3 +546,32 @@ def test_solve_batches_the_regular_rows_of_a_singular_batch():
     for j, f, step in zip(jac, fx, steps):
         assert step.tobytes() == zeros._solve(j[None], f[None])[0].tobytes()
     np.testing.assert_allclose(jac[0] @ steps[0], fx[0], atol=1e-12)
+
+
+def _corner_reduce_cells(vals_grid):
+    """Cells where every component spans zero, by reducing the 2^n corner blocks of
+    each component in turn."""
+    n, res = vals_grid.shape[-1], vals_grid.shape[0] - 1
+    corners = [tuple(slice(o, o + res) for o in off) for off in np.ndindex(*(2,) * n)]
+    ok = True
+    for c in range(n):
+        blocks = [vals_grid[sl + (c,)] for sl in corners]
+        ok = ok & (reduce(np.minimum, blocks) <= 0.0) & (reduce(np.maximum, blocks) >= 0.0)
+    return np.argwhere(ok)
+
+
+def test_separable_corner_scan_matches_the_corner_reduction():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    found = 0
+    for n in (1, 2, 3, 4):
+        for res in (1, 2, 5, 10):
+            for _ in range(3):
+                grid = rng.standard_normal((res + 1,) * n + (n,))
+                grid[rng.random(grid.shape) < 0.2] = 0.0
+                grid[rng.random(grid.shape) < 0.05] = -0.0
+                grid[rng.random(grid.shape) < 0.05] = np.nan
+                cells = zeros._candidate_cells(grid)
+                ref = _corner_reduce_cells(grid)
+                assert cells.dtype == ref.dtype and np.array_equal(cells, ref)
+                found += len(ref)
+    assert found > 1000
