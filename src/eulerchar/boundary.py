@@ -55,7 +55,7 @@ class BoundaryZeroRecord(Record):
 
     location: tuple          # ambient coordinates
     winding: int             # index of phi_par within the boundary
-    winding_error: float     # gap between the last two quadrature levels
+    winding_error: float | None  # gap between the last two quadrature levels
     inward: bool             # full field points into the domain here
     alpha: float             # angle of phi from the outward normal
     normal_component: float  # phi . m at the zero

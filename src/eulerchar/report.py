@@ -52,9 +52,12 @@ def canonical(obj):
     return round_sig(float(obj))
 
 
+OPTIONAL_KEYS = frozenset({"homotopy_margin"})  # left out of a payload where None
+
+
 def _lists(obj):
     if isinstance(obj, dict):
-        return {k: _lists(v) for k, v in obj.items()}
+        return {k: _lists(v) for k, v in obj.items() if v is not None or k not in OPTIONAL_KEYS}
     if isinstance(obj, (list, tuple)):
         return [_lists(v) for v in obj]
     return obj
@@ -63,9 +66,9 @@ def _lists(obj):
 class Record:
     """Base of the result dataclasses that go into reports.
 
-    ``to_dict`` is ``dataclasses.asdict`` with tuples turned into lists,
-    so the payload's keys come in field order: reordering a field
-    changes the report bytes.
+    ``to_dict`` is ``dataclasses.asdict`` with tuples turned into lists
+    and the OPTIONAL_KEYS that are None left out, so the payload's keys
+    come in field order: reordering a field changes the report bytes.
     """
 
     def to_dict(self) -> dict:

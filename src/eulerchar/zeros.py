@@ -6,28 +6,28 @@ Newton polishes all candidates together, one jet call per step, and
 duplicates are merged; a seed whose full Newton step is longer than the
 domain's diameter is dropped rather than damped.  The scan takes each
 cell's min and max over its 2^n corners one axis at a time, for all
-components together.  classify_zeros gives each zero it is handed a
-winding number from a quadrature sphere at its isolation radius, which
-every other located zero bounds.  A regular zero z is wound with the
-preconditioned field psi = J(z)^-1 phi, which is close to x - z, so its
-index is sign det J(z) times deg psi, and deg psi must round to +1.  A
-degenerate zero is wound with phi itself, and that winding is its
-index.  find_zeros runs both on the zeros inside one domain; the chart
-atlases of manifolds deduplicate in between.
+components together.  classify_zeros gives each zero it is handed an
+index on a sphere at its isolation radius, which every other located zero
+bounds: sign det J(z) times deg(J(z)^-1 phi), which must be +1, at a
+regular zero, and the winding of phi at a degenerate one.  find_zeros runs
+both on the zeros inside one domain; the chart atlases of manifolds
+deduplicate in between.
 
-The enclosing sphere of index_sum_with_excision is preconditioned from
-its own samples, never from the zeros: phi ~ b + B s is fitted by
-weighted least squares on the ladder's coarsest nodes s, so an affine phi
-is recovered to rounding.  Where the fit's relative residual is at most
-FIT_GATE, B is invertible and b + B s vanishes inside (|a| < 1 with
-a = -B^-1 b), the degree is sign det P deg(P phi) with P = B^-1, and
-P phi is wound against its model s - a: the climb integrates only the
-density P phi's model does not explain, and the model's degree, 1, is
-added back.  A model zero just inside the sphere has a density spike that
-no level resolves; half its mass then goes missing, the levels read about
-1/2 off an integer, and P phi is wound again without the model.  Elsewhere
-phi is wound.  So, like the preimage oracle, the enclosing sphere checks
-the per-zero windings independently.
+A preconditioned field P phi on the sphere c + r s, N >= 2, has a model
+s - a of degree [|a| < 1]: P = J(z)^-1 / r and a = 0 at a regular zero.
+The enclosing sphere of index_sum_with_excision fits phi ~ b + B s by
+weighted least squares on the winding ladder's coarsest nodes s, which
+recovers an affine phi to rounding, and takes P = B^-1, a = -P b.  Where
+|P phi - (s - a)| < |s - a| on the whole sphere the straight-line homotopy
+never vanishes, so deg P phi = deg(s - a) (Poincare-Bohl; Lloyd, Degree
+Theory, 1978, ch. 1).  homotopy_margin reads that ratio's max on the
+coarsest nodes; at most CERTIFYING_MARGIN, it certifies the degree with no
+quadrature.  Elsewhere a regular zero climbs winding_number's ladder on
+J(z)^-1 phi, and the enclosing sphere winds phi itself, so, like the
+preimage oracle, it checks the per-zero windings independently.  The
+margin is not a proof: a zero of P phi near the sphere can hide between
+the nodes.  At a regular zero its exact bound is sup ||J(z)^-1 J(y) - I||
+over the ball, and an enclosure of that would make it one.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ import numpy as np
 from .domains import BallDomain
 from .fields import VectorField
 from .report import Record
-from .winding import (
-    SphereQuadrature,
-    UndersampledError,
-    coarsest_rule,
-    oracle_degree_preimage,
-    winding_number,
-)
+from .winding import SphereQuadrature, coarsest_rule, oracle_degree_preimage, winding_number
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
@@ -54,7 +48,7 @@ REGULAR_DET_TOL = 1e-8
 DEDUP_SCALE = 1e-6
 ISOLATION_FLOOR_SCALE = 1e-5
 EXTRA_SEEDS = 8
-FIT_GATE = 0.5  # largest relative residual of the enclosing sphere's affine fit
+CERTIFYING_MARGIN = 0.5  # a homotopy margin at most this certifies a winding
 
 DEFAULT_RESOLUTION = {1: 64, 2: 32, 3: 16, 4: 10}
 
@@ -79,7 +73,8 @@ class ZeroRecord(Record):
     field_norm: float
     winding_raw: float
     winding_residual: float
-    winding_error: float  # gap between the last two quadrature levels
+    winding_error: float | None  # gap between the last two quadrature levels
+    homotopy_margin: float | None  # where it certified the winding
     isolation_radius: float
 
 
@@ -87,6 +82,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
     """Row norms, each with the bits np.linalg.norm gives that row alone."""
     v = np.ascontiguousarray(v)
     return np.sqrt(np.vecdot(v, v))
+
+
+def homotopy_margin(p: np.ndarray, phi: np.ndarray, s: np.ndarray, a=0.0) -> float:
+    """mu = max |P phi - (s - a)| / |s - a| over the unit nodes s (rows), with phi
+    the field at those nodes of the sphere, as the module docstring says."""
+    d = s - a
+    return float(np.max(_norms(phi @ p.T - d) / _norms(d)))
 
 
 def _solve(jac: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -215,6 +217,8 @@ def classify_zeros(field: VectorField, roots, found, domain,
 
     phi, jacs = field.jet_many(roots)
     dets, field_norms = np.linalg.det(jacs), _norms(phi)
+    # on the line winding_number's two-point count is exact: no margin is needed
+    s = coarsest_rule(field.dimension, quadrature).nodes if field.dimension > 1 else None
     records = []
     for i, r in enumerate(roots):
         gaps = _norms(found - r)
@@ -225,20 +229,23 @@ def classify_zeros(field: VectorField, roots, found, domain,
             )
         rad = min(rad, 1.0)
         det = float(dets[i])
-        regular = abs(det) > REGULAR_DET_TOL
+        regular, margin = abs(det) > REGULAR_DET_TOL, np.inf
         if regular:  # index = sign det J * deg(J^-1 phi), and deg(J^-1 phi) = +1
-            sign = eta = 1 if det > 0 else -1
-            wres = winding_number(field, r, rad, quadrature,
-                                  precondition=np.linalg.inv(jacs[i]))
-            if wres.rounded != 1:
-                raise ZeroFindingError(
-                    f"preconditioned winding {wres.rounded} is not +1 at the regular "
-                    f"zero {r.tolist()}"
-                )
+            inv = np.linalg.inv(jacs[i])
+            if s is not None:
+                margin = homotopy_margin(inv / rad, field.evaluate_many(r + rad * s), s)
+        if margin <= CERTIFYING_MARGIN:
+            deg, raw, error = 1, 1.0, None
         else:
-            wres = winding_number(field, r, rad, quadrature)
-            sign, eta = 1, int(np.sign(wres.rounded))
-        w, raw = sign * wres.rounded, sign * wres.raw
+            margin, wres = None, winding_number(field, r, rad, quadrature,
+                                                precondition=inv if regular else None)
+            deg, raw, error = wres.rounded, wres.raw, wres.error
+            if regular and deg != 1:
+                raise ZeroFindingError(f"preconditioned winding {deg} is not +1 at the "
+                                       f"regular zero {r.tolist()}")
+        sign = 1 if det > 0 or not regular else -1
+        eta = sign if regular else int(np.sign(deg))
+        w, raw = sign * deg, sign * raw
         records.append(ZeroRecord(
             location=tuple(r.tolist()),
             field_norm=float(field_norms[i]),
@@ -249,7 +256,8 @@ def classify_zeros(field: VectorField, roots, found, domain,
             winding=int(w),
             winding_raw=raw,
             winding_residual=raw - w,
-            winding_error=wres.error,
+            winding_error=error,
+            homotopy_margin=margin,
             isolation_radius=float(rad),
             degenerate=not regular,
         ))
@@ -276,7 +284,8 @@ class ExcisionResult(Record):
     zero_sum: int
     enclosing_winding: int
     enclosing_raw: float
-    enclosing_error: float  # gap between the last two quadrature levels
+    enclosing_error: float | None  # gap between the last two quadrature levels
+    homotopy_margin: float | None  # where it certified the enclosing winding
     agree: bool
     oracle_degree: int
     oracle_agree: bool
@@ -295,23 +304,22 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
     """
     records = find_zeros(field, ball, resolution=resolution, quadrature=quadrature)
     zero_sum = total_index(records)
-    p, a = _enclosing_preconditioner(field, ball, quadrature)
-    wind = lambda model: winding_number(field, ball.center, ball.radius, quadrature,
-                                        precondition=p, model_zero=model)
-    try:
-        big = wind(a)
-    except UndersampledError:
-        if a is None:
-            raise
-        big = wind(None)  # a model zero by the sphere: its spike outran the ladder
-    sign = 1 if p is None or np.linalg.det(p) > 0 else -1
-    enclosing = sign * big.rounded
+    p, a, margin = _enclosing_preconditioner(field, ball, quadrature)
+    if margin <= CERTIFYING_MARGIN:  # deg(P phi) = deg(s - a)
+        sign = 1 if np.linalg.det(p) > 0 else -1
+        enclosing = sign * int(np.linalg.norm(a) < 1.0)
+        raw, error = float(enclosing), None
+    else:
+        margin = None
+        big = winding_number(field, ball.center, ball.radius, quadrature)
+        enclosing, raw, error = big.rounded, big.raw, big.error
     deg = oracle_degree_preimage(field, ball.center, ball.radius)
     return ExcisionResult(
         zero_sum=zero_sum,
         enclosing_winding=enclosing,
-        enclosing_raw=sign * big.raw,
-        enclosing_error=big.error,
+        enclosing_raw=raw,
+        enclosing_error=error,
+        homotopy_margin=margin,
         agree=zero_sum == enclosing,
         oracle_degree=deg,
         oracle_agree=deg == enclosing,
@@ -320,8 +328,8 @@ def index_sum_with_excision(field: VectorField, ball: BallDomain,
 
 
 def _enclosing_preconditioner(field: VectorField, ball: BallDomain, quadrature):
-    """(P, a) of the fit phi ~ b + B s on the enclosing sphere, with P = B^-1 and
-    a = -P b the model's zero, or (None, None) if the gate fails.
+    """(P, a, mu) of the fit phi ~ b + B s on the enclosing sphere: P = B^-1, a = -P b
+    the model's zero and mu the homotopy margin, or (None, None, inf) if B is singular.
 
     The fit solves sqrt(w) [1, s] [b, B]^T ~ sqrt(w) phi by least squares on the
     ladder's coarsest rule, so it reproduces an affine phi whatever the rule's moments.
@@ -332,9 +340,8 @@ def _enclosing_preconditioner(field: VectorField, ball: BallDomain, quadrature):
     basis = np.hstack([np.ones_like(s[:, :1]), s])
     coef = np.linalg.lstsq(sw * basis, sw * phi, rcond=None)[0]
     b, big = coef[0], coef[1:].T
-    sq = lambda v: np.sum((sw * v) ** 2)
-    if np.linalg.det(big) == 0.0 or sq(phi - basis @ coef) > FIT_GATE ** 2 * sq(phi):
-        return None, None
+    if np.linalg.det(big) == 0.0:
+        return None, None, np.inf
     p = np.linalg.inv(big)
     a = -p @ b
-    return (p, a) if np.linalg.norm(a) < 1.0 else (None, None)
+    return p, a, homotopy_margin(p, phi, s, a)

@@ -16,9 +16,14 @@ default rule and at the coarse rule of resolution scale 0.2, where the
 plain winding certified 0 for draws 50 and 128.  At that scale a fit read
 off the rule's moments, which miss those of the sphere by 1.4e-3, left
 four draws 0.10 to 0.16 apart on the top rule and the level below.  The
-least-squares fit recovers A to rounding, P phi is wound against its model
-s - a, and all six certify with an error below 1e-14.  So does every
-draw: the enclosing winding of A(x - c) stops at the ladder's second level.
+least-squares fit recovers A to rounding, so P phi is s - a to rounding and
+its homotopy margin certifies the enclosing degree with no quadrature, for
+all six and for every other draw.
+
+The close-pair family puts k = 3 or 4 pairs of opposite-index zeros 0.01
+apart in the unit disk.  The grid scan cannot separate a pair, so most
+fields lose zeros: CLOSE_PAIR_OUTCOMES pins what each of the 30 fields
+gives, so that a change to zero finding or winding shows field by field.
 """
 
 import numpy as np
@@ -26,9 +31,9 @@ import pytest
 
 from eulerchar.boundary import chi_with_boundary
 from eulerchar.domains import BallDomain
-from eulerchar.fields import VectorField, linear_field
-from eulerchar.winding import UndersampledError, default_quadrature
-from eulerchar.zeros import index_sum_with_excision
+from eulerchar.fields import ComplexProductField, VectorField, linear_field
+from eulerchar.winding import UndersampledError, ZeroOnSphereError, default_quadrature
+from eulerchar.zeros import ZeroFindingError, index_sum_with_excision
 
 INTERIOR_UNDERSAMPLED = (22, 24, 25, 37, 50, 62, 72, 80, 83, 88, 104, 105, 107, 119,
                          128, 142, 145, 153, 161, 163, 169, 175, 178, 181, 186, 188,
@@ -126,10 +131,49 @@ def test_census_draw_0_evaluates_each_point_once():
 
 
 def test_census_draw_0_index_sum_stops_the_enclosing_winding_early():
-    # the enclosing winding takes the ladder's first two levels, 3,888 nodes; wound
-    # without its model it went on to the 27,648-node level, 51,994 points in all
+    # the margin certifies the enclosing sphere and the zero from 432 nodes each, with
+    # no climb, 17,002 points in all; the plain enclosing winding went on to the
+    # 27,648-node level, 51,994 points in all
     a, c = DRAWS[0]
     field = _PointCount(linear_field(a, offset=-a @ c))
     res = index_sum_with_excision(field, BALL)
     assert res.enclosing_winding == res.zero_sum == res.oracle_degree
-    assert field.points <= 25_000
+    assert res.homotopy_margin is not None and res.zeros[0].homotopy_margin is not None
+    assert field.points <= 18_000
+
+
+def _close_pair_fields():
+    """15 draws of k = 3 then k = 4 roots c in [-0.6, 0.6]^2, each with a conjugate
+    root 0.01 away, from default_rng(3)."""
+    rng = np.random.default_rng(3)
+    for _ in range(15):
+        for k in (3, 4):
+            c = rng.uniform(-0.6, 0.6, (k, 2))
+            angle = rng.uniform(0.0, 2.0 * np.pi, k)
+            partners = c + 0.01 * np.column_stack([np.cos(angle), np.sin(angle)])
+            yield k, ComplexProductField(roots=c[:, 0] + 1j * c[:, 1],
+                                         conj_roots=partners[:, 0] + 1j * partners[:, 1])
+
+
+# per field: "right", the number of zeros found where whole pairs are missed and the
+# excision still agrees, or the error raised
+CLOSE_PAIR_OUTCOMES = (
+    4, ZeroFindingError, ZeroFindingError, 4, 4, ZeroOnSphereError, ZeroFindingError, 4,
+    "right", ZeroOnSphereError, ZeroFindingError, 4, 4, ZeroFindingError, 4,
+    ZeroFindingError, ZeroFindingError, ZeroFindingError, ZeroFindingError, 5,
+    ZeroFindingError, ZeroFindingError, ZeroFindingError, ZeroFindingError,
+    ZeroFindingError, ZeroFindingError, ZeroFindingError, ZeroFindingError,
+    ZeroFindingError, 4)
+
+
+def test_close_pair_family_outcomes():
+    outcomes = []
+    for k, field in _close_pair_fields():
+        try:
+            res = index_sum_with_excision(field, BallDomain((0.0, 0.0), 1.0))
+        except (ZeroFindingError, ZeroOnSphereError) as err:
+            outcomes.append(type(err))
+            continue
+        assert res.agree and res.oracle_agree and res.zero_sum == 0
+        outcomes.append("right" if len(res.zeros) == 2 * k else len(res.zeros))
+    assert tuple(outcomes) == CLOSE_PAIR_OUTCOMES

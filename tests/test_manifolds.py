@@ -297,18 +297,28 @@ def _x_rotation():
 ], ids=["torus-sines", "s2-rotation-about-e_x"])
 def test_each_zero_is_wound_once(monkeypatch, manifold, field, count):
     # torus-sines has 9 sightings of its 4 zeros in the tile, and the
-    # rotation about e_x sees both its zeros in both charts, on |xi| = 1
-    centers = []
-    real = zeros.winding_number
+    # rotation about e_x sees both its zeros in both charts, on |xi| = 1;
+    # each zero gets one certificate, from its homotopy margin or from a climb
+    centers, margins = [], []
+    real_winding, real_margin = zeros.winding_number, zeros.homotopy_margin
 
-    def spy(f, center, *args, **kw):
+    def climb_spy(f, center, *args, **kw):
         centers.append(tuple(np.asarray(center).tolist()))
-        return real(f, center, *args, **kw)
+        return real_winding(f, center, *args, **kw)
 
-    monkeypatch.setattr(zeros, "winding_number", spy)
+    def margin_spy(*args, **kw):
+        margins.append(real_margin(*args, **kw))
+        return margins[-1]
+
+    monkeypatch.setattr(zeros, "winding_number", climb_spy)
+    monkeypatch.setattr(zeros, "homotopy_margin", margin_spy)
     result = manifold.index_sum(field)
-    assert len(centers) == count == len(result.zeros)
-    assert sorted(centers) == sorted(z.chart_location for z in result.zeros)
+    certified = [m for m in margins if m <= zeros.CERTIFYING_MARGIN]
+    assert len(certified) + len(centers) == count == len(result.zeros)
+    assert sorted(certified) == sorted(z.homotopy_margin for z in result.zeros
+                                       if z.homotopy_margin is not None)
+    assert sorted(centers) == sorted(z.chart_location for z in result.zeros
+                                     if z.homotopy_margin is None)
 
 
 def test_torus_zeros_near_every_tile_edge():

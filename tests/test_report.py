@@ -7,6 +7,7 @@ import numpy as np
 
 from eulerchar.cli import bundled_scenarios, load_scenario, run_scenario
 from eulerchar.report import (
+    OPTIONAL_KEYS,
     canonical,
     format_table,
     render_report,
@@ -78,10 +79,10 @@ def test_format_table_alignment():
 
 ZERO_KEYS = ["location", "winding", "eta", "beta", "regular", "degenerate",
              "jacobian_det", "field_norm", "winding_raw", "winding_residual",
-             "winding_error", "isolation_radius"]
+             "winding_error", "homotopy_margin", "isolation_radius"]
 CHART_ZERO_KEYS = ZERO_KEYS + ["ambient", "chart", "chart_location"]
 EXCISION_KEYS = ["zero_sum", "enclosing_winding", "enclosing_raw", "enclosing_error",
-                 "agree", "oracle_degree", "oracle_agree", "zeros"]
+                 "homotopy_margin", "agree", "oracle_degree", "oracle_agree", "zeros"]
 CLOSED_KEYS = ["total", "chi_oracle", "agree", "attempts", "flags", "zeros"]
 BOUNDARY_KEYS = ["interior_sum", "boundary_all_half", "boundary_inward",
                  "chi_paper", "chi_morse", "chi_oracle", "endorsed", "flags",
@@ -98,7 +99,7 @@ FLUX_KEYS = ["singular_point", "loop_radius", "flux", "quantum", "quantum_rounde
 
 def test_report_key_order_pinned():
     """Key order is the report format: it must not drift with refactors."""
-    seen = set()
+    seen, margins = set(), set()
     for name in bundled_scenarios():
         report, _, _ = run_scenario(load_scenario(name))
         assert list(report) == ["schema", "name", "tool", "resolution_scale",
@@ -117,6 +118,9 @@ def test_report_key_order_pinned():
             else:
                 checks = [(payload, FLATNESS_KEYS), (payload["flux"], FLUX_KEYS)]
             for obj, keys in checks:
-                assert list(obj) == keys
+                # an optional key is left out where it is None
+                assert list(obj) == [k for k in keys if k in obj or k not in OPTIONAL_KEYS]
                 seen.add(tuple(keys))
+                margins.update(k in obj for k in OPTIONAL_KEYS & set(keys))
     assert len(seen) == 9  # every payload kind occurs in some bundled report
+    assert margins == {True, False}  # some bundled report has a margin, and some not

@@ -25,7 +25,6 @@ from eulerchar.fields import (
     torus_sines_field,
 )
 from eulerchar.manifolds import CHART_RESOLUTION, SphereManifold
-from eulerchar.winding import UndersampledError, winding_number
 from eulerchar.zeros import (
     BoundaryZoneError,
     ZeroFindingError,
@@ -202,90 +201,13 @@ def test_excision_agrees_for_rotated_linear_fields():
 
 
 # a degree-0 disk whose affine fit is good (relative residual 0.089) but
-# vanishes outside the circle (|B^-1 b| = 3.65, cond B = 332)
+# vanishes outside the circle (|B^-1 b| = 3.65, cond B = 332); its margin is 8.0
 FAR_FIT_DISK = (
     ComplexProductField(roots=[-0.21392890117058394 + 0.05144376491950553j,
                                -0.49503085854036843 - 0.16357350131260623j],
                         conj_roots=[-0.5766730064401634 + 0.20372995044663744j,
                                     -0.06267607426816396 - 0.3120623300709575j]),
     BallDomain((-0.33020780151490825, 0.32199464573660386), 1.2865483465345142))
-
-
-@pytest.mark.parametrize("field,ball,degree", [
-    FAR_FIT_DISK + (0,),
-    (quaternion_square_field(), BallDomain((0.0,) * 4, 1.5), 2),  # relative residual 0.9
-    (constant_field([0.0, 0.0, 0.0, 1.0]), BallDomain((0.0,) * 4, 1.0), 0),  # B is ~0
-], ids=["far-fit-disk", "quaternion-square", "constant-4d"])
-def test_enclosing_fit_gate_winds_the_plain_field(field, ball, degree):
-    assert zeros._enclosing_preconditioner(field, ball, None) == (None, None)
-    result = index_sum_with_excision(field, ball)
-    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == degree
-
-
-def test_enclosing_fit_preconditions_a_linear_field():
-    a = np.array([[2.0, 1.0], [0.0, -0.5]])
-    ball = BallDomain((0.1, -0.2), 1.3)
-    p, m = zeros._enclosing_preconditioner(linear_field(a, offset=[0.3, 0.1]), ball, None)
-    assert np.abs(p - np.linalg.inv(a) / ball.radius).max() <= 1e-12
-    # A x + (0.3, 0.1) vanishes at c = -A^-1 (0.3, 0.1); the model s - m at m = (c - center) / R
-    assert np.abs(m - (np.linalg.solve(a, [-0.3, -0.1]) - ball.center) / ball.radius).max() <= 1e-12
-    result = index_sum_with_excision(linear_field(a, offset=[0.3, 0.1]), ball)
-    assert result.enclosing_winding == result.zero_sum == -1
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_enclosing_fit_recovers_an_affine_field(n):
-    # phi = A (x - c) on the sphere center + R s is b + B s with B = R A and b = A (center - c).
-    # The coarsest R^3 and R^4 rules are not exact for quadratics: N sum w s s^T / sum w
-    # misses I by 7.3e-5 and 1.4e-3, and so did a fit read off those moments.
-    rng = np.random.default_rng(RNG_SEED + n)
-    a = rng.standard_normal((n, n))
-    center, radius = rng.uniform(-1.0, 1.0, n), 1.7
-    c = center + 0.3 * radius * rng.uniform(-1.0, 1.0, n) / np.sqrt(n)
-    p, m = zeros._enclosing_preconditioner(linear_field(a, offset=-a @ c),
-                                           BallDomain(tuple(center), radius), None)
-    big, b = radius * a, a @ (center - c)
-    assert np.abs(p @ big - np.eye(n)).max() <= 1e-12
-    assert np.abs(big @ m + b).max() <= 1e-12  # b + B m = 0: m is the model's zero
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
-       log_cond=st.floats(0.0, 3.0), depth=st.floats(0.0, 0.9))
-def test_enclosing_winding_of_an_affine_field_property(n, seed, log_cond, depth):
-    # A (x - c) with cond(A) = 10^log_cond and |c - center| = depth R winds sign det A times
-    rng = np.random.default_rng(seed)
-    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
-    a = (u * np.logspace(0.0, log_cond, n)) @ v.T
-    center, radius = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0)
-    d = rng.standard_normal(n)
-    c = center + depth * radius * d / np.linalg.norm(d)
-    result = index_sum_with_excision(linear_field(a, offset=-a @ c),
-                                     BallDomain(tuple(center), radius))
-    sign = 1 if np.linalg.det(a) > 0 else -1
-    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == sign
-
-
-# degree 0: two roots and two conjugate roots, whose affine fit passes the gate
-# with its zero 1.5e-4 inside the circle, |a| = 0.99985
-SPIKE_MODEL_DISK = (
-    ComplexProductField(roots=[0.9721882039143015 - 0.305513132610851j,
-                               0.9477666335227253 - 0.9430753136033293j],
-                        conj_roots=[-0.2164876151119588 - 0.5680528740452234j,
-                                    0.6200335612526061 - 0.6501997974136631j]),
-    BallDomain((0.09421214025146274, -0.48136673727488677), 1.7414463266321447))
-
-
-def test_enclosing_model_by_the_sphere_falls_back_to_the_plain_winding():
-    field, ball = SPIKE_MODEL_DISK
-    p, m = zeros._enclosing_preconditioner(field, ball, None)
-    assert 1.0 - 2e-4 < np.linalg.norm(m) < 1.0
-    # the model's spike is narrower than any level's nodes: about half its mass is missed
-    with pytest.raises(UndersampledError, match=r"value 0\.45"):
-        winding_number(field, ball.center, ball.radius, precondition=p, model_zero=m)
-    result = index_sum_with_excision(field, ball)
-    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == 0
-    assert len(result.zeros) == 4
 
 
 def _quaternion_product(a, b) -> CallableField:
@@ -306,16 +228,127 @@ def _quaternion_product(a, b) -> CallableField:
                          name="quaternion-product", batch=True)
 
 
-def test_enclosing_model_subtraction_keeps_a_quaternion_product_at_degree_2():
-    # zeros at a and b, 0.79 and 0.91 from the center: the affine part dominates,
-    # so the fit gate passes and the model's degree 1 is subtracted from a degree-2 field
-    f = _quaternion_product(np.array([0.0, -0.5, 0.6, 0.1]), np.array([-0.6, 0.3, 0.6, 0.1]))
-    ball = BallDomain((0.0,) * 4, 1.0)
-    p, m = zeros._enclosing_preconditioner(f, ball, None)
-    assert p is not None and np.linalg.norm(m) < 1.0
-    result = index_sum_with_excision(f, ball)
-    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == 2
-    assert len(result.zeros) == 2
+@pytest.mark.parametrize("field,ball,degree", [
+    FAR_FIT_DISK + (0,),
+    (quaternion_square_field(), BallDomain((0.0,) * 4, 1.5), 2),  # margin 3.4
+    (constant_field([0.0, 0.0, 0.0, 1.0]), BallDomain((0.0,) * 4, 1.0), 0),  # B is ~0
+    # zeros 0.79 and 0.91 from the center: the affine part dominates, margin 2.1
+    (_quaternion_product(np.array([0.0, -0.5, 0.6, 0.1]), np.array([-0.6, 0.3, 0.6, 0.1])),
+     BallDomain((0.0,) * 4, 1.0), 2),
+], ids=["far-fit-disk", "quaternion-square", "constant-4d", "quaternion-product"])
+def test_enclosing_fit_gate_winds_the_plain_field(field, ball, degree):
+    # the fit's homotopy margin exceeds 1/2 (or B is singular): phi itself is wound
+    assert zeros._enclosing_preconditioner(field, ball, None)[2] > zeros.CERTIFYING_MARGIN
+    result = index_sum_with_excision(field, ball)
+    assert result.homotopy_margin is None and result.enclosing_error is not None
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == degree
+
+
+def test_enclosing_fit_preconditions_a_linear_field():
+    a = np.array([[2.0, 1.0], [0.0, -0.5]])
+    ball = BallDomain((0.1, -0.2), 1.3)
+    p, m, margin = zeros._enclosing_preconditioner(linear_field(a, offset=[0.3, 0.1]), ball, None)
+    assert np.abs(p - np.linalg.inv(a) / ball.radius).max() <= 1e-12
+    # A x + (0.3, 0.1) vanishes at c = -A^-1 (0.3, 0.1); the model s - m at m = (c - center) / R
+    assert np.abs(m - (np.linalg.solve(a, [-0.3, -0.1]) - ball.center) / ball.radius).max() <= 1e-12
+    assert margin <= 1e-12
+    result = index_sum_with_excision(linear_field(a, offset=[0.3, 0.1]), ball)
+    assert result.enclosing_winding == result.zero_sum == -1  # sign det P [|m| < 1]
+    assert result.homotopy_margin == margin and result.enclosing_error is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enclosing_fit_recovers_an_affine_field(n):
+    # phi = A (x - c) on the sphere center + R s is b + B s with B = R A and b = A (center - c).
+    # The coarsest R^3 and R^4 rules are not exact for quadratics: N sum w s s^T / sum w
+    # misses I by 7.3e-5 and 1.4e-3, and so did a fit read off those moments.
+    rng = np.random.default_rng(RNG_SEED + n)
+    a = rng.standard_normal((n, n))
+    center, radius = rng.uniform(-1.0, 1.0, n), 1.7
+    c = center + 0.3 * radius * rng.uniform(-1.0, 1.0, n) / np.sqrt(n)
+    p, m, margin = zeros._enclosing_preconditioner(linear_field(a, offset=-a @ c),
+                                                   BallDomain(tuple(center), radius), None)
+    big, b = radius * a, a @ (center - c)
+    assert np.abs(p @ big - np.eye(n)).max() <= 1e-12
+    assert np.abs(big @ m + b).max() <= 1e-12  # b + B m = 0: m is the model's zero
+    assert margin <= 1e-12  # P phi is s - m to rounding
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       log_cond=st.floats(0.0, 3.0), depth=st.floats(0.0, 0.9))
+def test_enclosing_winding_of_an_affine_field_property(n, seed, log_cond, depth):
+    # A (x - c) with cond(A) = 10^log_cond and |c - center| = depth R winds sign det A times
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    a = (u * np.logspace(0.0, log_cond, n)) @ v.T
+    center, radius = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0)
+    d = rng.standard_normal(n)
+    c = center + depth * radius * d / np.linalg.norm(d)
+    result = index_sum_with_excision(linear_field(a, offset=-a @ c),
+                                     BallDomain(tuple(center), radius))
+    sign = 1 if np.linalg.det(a) > 0 else -1
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == sign
+
+
+# degree 0: two roots and two conjugate roots, whose affine fit has its zero
+# 1.5e-4 inside the circle, |a| = 0.99985, where deg(s - a) = 1 is wrong
+SPIKE_MODEL_DISK = (
+    ComplexProductField(roots=[0.9721882039143015 - 0.305513132610851j,
+                               0.9477666335227253 - 0.9430753136033293j],
+                        conj_roots=[-0.2164876151119588 - 0.5680528740452234j,
+                                    0.6200335612526061 - 0.6501997974136631j]),
+    BallDomain((0.09421214025146274, -0.48136673727488677), 1.7414463266321447))
+
+
+def test_enclosing_model_by_the_sphere_falls_back_to_the_plain_winding():
+    field, ball = SPIKE_MODEL_DISK
+    p, m, margin = zeros._enclosing_preconditioner(field, ball, None)
+    assert 1.0 - 2e-4 < np.linalg.norm(m) < 1.0
+    assert margin > 10.0  # the nodes next to the model's zero see P phi far from s - m
+    result = index_sum_with_excision(field, ball)
+    assert result.homotopy_margin is None
+    assert result.enclosing_winding == result.zero_sum == result.oracle_degree == 0
+    assert len(result.zeros) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_an_affine_zero_is_certified_by_its_margin(n, monkeypatch):
+    # J(z)^-1 phi / rho is s to rounding on the isolation sphere: no climb runs
+    rng = np.random.default_rng(RNG_SEED - n)
+    a = rng.standard_normal((n, n))
+    c = 0.2 * rng.uniform(-1.0, 1.0, n)
+    monkeypatch.setattr(zeros, "winding_number", None)  # a climb would fail
+    (z,) = find_zeros(linear_field(a, offset=-a @ c), BallDomain((0.0,) * n, 1.0))
+    assert z.homotopy_margin <= 1e-12 and z.winding_error is None
+    assert z.winding == z.winding_raw == (1 if np.linalg.det(a) > 0 else -1)
+
+
+def test_an_unfound_partner_inside_the_isolation_sphere_fails_the_margin(monkeypatch):
+    # z conj(z - 0.01) has zeros of index +1 at 0 and -1 at 0.01; handed only the
+    # first, its isolation sphere (radius 0.5) holds both, so J(0)^-1 phi winds 0
+    field, ball = ComplexProductField(roots=[0.0], conj_roots=[0.01]), BallDomain((0.0, 0.0), 1.0)
+    found = np.zeros((1, 2))
+    _, jac = field.jet_many(found)
+    s = zeros.coarsest_rule(2).nodes
+    margin = zeros.homotopy_margin(np.linalg.inv(jac[0]) / 0.5, field.evaluate_many(0.5 * s), s)
+    assert margin > zeros.CERTIFYING_MARGIN
+    climbs = []
+    real = zeros.winding_number
+    monkeypatch.setattr(zeros, "winding_number",
+                        lambda *args, **kw: climbs.append(args[1:3]) or real(*args, **kw))
+    with pytest.raises(ZeroFindingError, match="preconditioned winding 0 is not"):
+        classify_zeros(field, found, found, ball)
+    assert len(climbs) == 1
+
+
+def test_the_margin_reads_the_worst_node():
+    s = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    phi = s + np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 0.0]])
+    assert zeros.homotopy_margin(np.eye(2), phi, s) == pytest.approx(0.3, abs=1e-15)
+    # with a model zero a, the distance is |s - a|: 0.3 / |(0, 1) - (0, 0.5)| = 0.6
+    assert zeros.homotopy_margin(np.eye(2), phi - [0.0, 0.5], s, np.array([0.0, 0.5])) \
+        == pytest.approx(0.6, abs=1e-15)
 
 
 # e_i e_j = sign e_k for the quaternion units (1, i, j, k): the (i, j, sign) of component k
@@ -358,7 +391,7 @@ class _SphereRows(VectorField):
 
 
 def test_a_quaternion_enclosing_winding_stops_below_the_top():
-    # the quaternion product of balls-4d seed 1, round 0: its affine fit fails the gate,
+    # the quaternion product of balls-4d seed 1, round 0: its fit's margin exceeds 1/2,
     # so the plain field is wound; its levels read 2.016685, 2.0000287 and 2 to 1e-10
     center = (0.00709297482015403, 0.2702782177955612, -0.21350423236821975, 0.2691896682823463)
     a = [0.1359533989784676, 0.1152693397242536, -0.04574573977256374, 0.37443525465199257]

@@ -2,10 +2,12 @@
 
     python3 tools/sweep_inputs.py --workload balls-4d --seeds 1-20 --rounds 30
     python3 tools/sweep_inputs.py --workload all --seeds 1-20 --rounds 30
+    python3 tools/sweep_inputs.py --workload balls-4d --seeds 1-20,2505,3008 --rounds 80
 
-For every seed A..B and round 0..R-1 this draws the workload's seeded ops
-as a benchmark round does, from np.random.default_rng((seed, round)), runs
-each one and applies its own check.  It prints one line per failed op with
+For every seed of the list (seeds and A-B ranges, comma-separated) and
+round 0..R-1 this draws the workload's seeded ops as a benchmark round
+does, from np.random.default_rng((seed, round)), runs each one and
+applies its own check.  It prints one line per failed op with
 its workload, seed, round and family, then a summary line per workload,
 and exits 1 if any op failed; --workload all sweeps every workload in
 turn.  The fixed inputs of a round (bundled scenarios, malformed files)
@@ -31,15 +33,20 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 
-def seed_range(text: str) -> range:
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+def seed_list(text: str) -> list:
+    """The seeds of a comma list of seeds and A-B ranges, in order: "1-3,7" is 1, 2, 3, 7."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=["all", *sorted(workloads.WORKLOADS)])
-    ap.add_argument("--seeds", type=seed_range, required=True, help="A-B, or one seed")
+    ap.add_argument("--seeds", type=seed_list, required=True,
+                    help="comma list of seeds and A-B ranges, as 1-20,2505")
     ap.add_argument("--rounds", type=int, required=True, help="rounds 0..R-1 of each seed")
     args = ap.parse_args(argv)
 
@@ -47,7 +54,7 @@ def main(argv=None) -> int:
     return 1 if sum(sweep(name, args.seeds, args.rounds) for name in names) else 0
 
 
-def sweep(name: str, seeds: range, rounds: int) -> int:
+def sweep(name: str, seeds: list, rounds: int) -> int:
     """Run and check the seeded ops of one workload; print and return the failure count."""
     wl = workloads.WORKLOADS[name]
     ops = failed = 0
