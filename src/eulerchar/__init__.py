@@ -89,6 +89,5 @@ from .triangulations import (  # noqa: F401
     catalog,
     catalog_names,
     chi_oracle,
-    euler_characteristic,
 )
 from .report import format_table, render_report, round_sig, summary_row  # noqa: F401

@@ -76,23 +76,24 @@ class BoundaryReport(Record):
     boundary_zeros: tuple    # BoundaryZeroRecords
 
 
+def _cos_alpha(phi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """phi . m / |phi| for field values phi and outward unit normals m, row by row."""
+    norms = _norms(phi)
+    low = np.flatnonzero(norms <= MIN_BOUNDARY_NORM)
+    if low.size:
+        raise BoundaryError(f"field vanishes on the boundary along the normal {m[low[0]].tolist()}")
+    return np.vecdot(phi, m) / norms
+
+
 def alpha_angle(phi: np.ndarray, m: np.ndarray) -> list:
     """Angles in [0, pi] between field values phi and outward normals m, row by row."""
-    norms = _norms(phi)
-    for row, norm in zip(m, norms):
-        if norm <= MIN_BOUNDARY_NORM:
-            raise BoundaryError(f"field vanishes on the boundary along the normal {row.tolist()}")
-    return [math.acos(c) for c in np.clip(np.vecdot(phi, m) / norms, -1.0, 1.0)]
+    return [math.acos(c) for c in np.clip(_cos_alpha(phi, m), -1.0, 1.0)]
 
 
 def _classify(field: VectorField, ball: BallDomain) -> list:
     """Flags from a boundary sweep of cos alpha = phi . m / |phi|."""
     m, _ = sphere_mesh(ball.dimension, SWEEP_MESH_LEVEL[ball.dimension])
-    phi = field.evaluate_many(np.asarray(ball.center) + ball.radius * m)
-    norms = np.linalg.norm(phi, axis=1)
-    if norms.min() <= MIN_BOUNDARY_NORM:
-        raise BoundaryError("field vanishes on the boundary sphere")
-    cos_alpha = np.einsum("pi,pi->p", phi, m) / norms
+    cos_alpha = _cos_alpha(field.evaluate_many(np.asarray(ball.center) + ball.radius * m), m)
     if cos_alpha.min() > TRANSVERSAL_EPS:
         return ["transversal-outward"]
     if cos_alpha.max() < -TRANSVERSAL_EPS:

@@ -361,10 +361,6 @@ class Frame:
         """Rows are the frame vectors' components in the gamma basis."""
         return np.stack([u.vector_part() for u in self.vectors], axis=-2)
 
-    def orthonormality_residual(self) -> float:
-        m = self.matrix()
-        return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(self.dimension))))
-
 
 def versor_frame(rotor: Multivector) -> Frame:
     """Frame u_i = U~ gamma_i U obtained by rotating the gamma basis.

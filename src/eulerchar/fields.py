@@ -105,16 +105,6 @@ class PolynomialField(VectorField):
     def jet_many(self, pts):
         return self._jet(pts, jacobian=True)
 
-    def to_spec(self):
-        return {
-            "kind": "polynomial",
-            "dimension": self.dimension,
-            "components": [
-                [[list(exps), coeff] for exps, coeff in terms]
-                for terms in self.components
-            ],
-        }
-
 
 class ComplexProductField(VectorField):
     """Planar field f(z) = prod (z - a_i) * prod (conj(z) - conj(b_j)).
@@ -156,14 +146,6 @@ class ComplexProductField(VectorField):
         jac[:, 0, 0], jac[:, 0, 1] = (p + q).real, -(p - q).imag
         jac[:, 1, 0], jac[:, 1, 1] = (p + q).imag, (p - q).real
         return np.column_stack([prefix[-1].real, prefix[-1].imag]), jac
-
-    def to_spec(self):
-        enc = lambda r: [r.real, r.imag]
-        return {
-            "kind": "complex-product",
-            "roots": [enc(r) for r in self.roots],
-            "conj_roots": [enc(r) for r in self.conj_roots],
-        }
 
 
 class CallableField(VectorField):

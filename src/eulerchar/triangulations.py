@@ -71,33 +71,6 @@ class SimplicialComplex:
         return f"<SimplicialComplex {self.name!r} counts={self.face_counts()}>"
 
 
-def euler_characteristic(c: SimplicialComplex) -> int:
-    return c.euler_characteristic()
-
-
-def barycentric_subdivision(c: SimplicialComplex) -> SimplicialComplex:
-    """First barycentric subdivision: simplices are chains of faces."""
-    # grow chains in order of increasing dimension so every face's chain
-    # list is complete before it gets extended
-    all_simplices = sorted((s for cells in c.by_dim.values() for s in cells),
-                           key=lambda s: (len(s), s))
-    ident = {s: i for i, s in enumerate(all_simplices)}
-    chains = {s: [(s,)] for s in all_simplices}
-    for s in all_simplices:
-        if len(s) == 1:
-            continue
-        grown = []
-        for k in range(1, len(s)):
-            for face in combinations(s, k):
-                grown.extend(ch + (s,) for ch in chains[face])
-        chains[s].extend(grown)
-    out = set()
-    for s in all_simplices:
-        for ch in chains[s]:
-            out.add(tuple(ident[f] for f in ch))
-    return SimplicialComplex(out, name=f"subdiv({c.name})")
-
-
 # -- catalog ------------------------------------------------------------
 
 

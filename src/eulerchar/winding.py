@@ -15,9 +15,8 @@ with det +1, det[v | T] = s . v, so det[phi | J T] = det J det[J^-1 phi | T]
 holds where J is singular.  Only the node s enters, and no tangent frame
 is built.  Each fixed-size block of nodes takes phi and J from one jet
 call, in a fixed order, so memory stays bounded and reruns are
-byte-identical.  The bordered determinant is split by Laplace into two
-blocks of rows, whose minors are each built once, on contiguous per-node
-rows; like any cofactor expansion it is a polynomial in the entries.
+byte-identical.  The density is the top minor of the bordered rows, from
+the _minors kernel that the preimage oracle and sphere_mesh also use.
 
 The integral climbs a ladder of rules, as the quadratures of gbc and
 connection do, through climb: level k below the top rule (the caller's
@@ -134,23 +133,11 @@ def _minors(rows) -> dict:
 
 
 def _degree_density(s, phi, jac):
-    """s . adj(J) phi = -det [[J, phi], [s^T, 0]] at each node: s, phi (m, N), jac (m, N, N).
-
-    The bordered determinant is split by Laplace along its first h = (N+1)//2
-    rows: it is the sum over h-subsets S of the columns of
-    (-1)^(h(h-1)/2 + sum S) det(top rows over S) det(bottom rows over the rest).
-    Every entry is a contiguous per-node row.
-    """
-    n, h = s.shape[1], (s.shape[1] + 1) // 2
+    """s . adj(J) phi = -det [[J, phi], [s^T, 0]] at each node: s, phi (m, N), jac (m, N, N)."""
     rows = [[*r, p] for r, p in zip(np.ascontiguousarray(jac.transpose(1, 2, 0)),
                                     np.ascontiguousarray(phi.T))]
     rows.append([*np.ascontiguousarray(s.T), 0.0])
-    top, bottom = _minors(rows[:h]), _minors(rows[h:])
-    acc = 0.0
-    for cols, minor in top.items():  # summed with the signs of -det
-        term = minor * bottom[tuple(c for c in range(n + 1) if c not in cols)]
-        acc = acc + term if (h * (h - 1) // 2 + sum(cols)) % 2 else acc - term
-    return acc
+    return -_minors(rows)[tuple(range(s.shape[1] + 1))]
 
 
 def scaled_count(count: int, scale: float) -> int:
@@ -198,11 +185,11 @@ class SphereQuadrature:
     counts: tuple
 
     @staticmethod
-    def build(dimension: int, counts=None, scale: float = 1.0) -> "SphereQuadrature":
+    def build(dimension: int, counts=None) -> "SphereQuadrature":
         if dimension not in _DEFAULT_NODES:
             raise WindingError(f"no quadrature for dimension {dimension}")
         if counts is None:
-            counts = tuple(scaled_count(c, scale) for c in _DEFAULT_NODES[dimension])
+            counts = _DEFAULT_NODES[dimension]
         counts = tuple(int(c) for c in counts)
         *polar_counts, azim = counts
         if len(polar_counts) != dimension - 2:
@@ -234,13 +221,14 @@ class SphereQuadrature:
 
 
 @lru_cache(maxsize=32)
-def default_quadrature(dimension: int, scale: float = 1.0) -> SphereQuadrature:
-    return SphereQuadrature.build(dimension, scale=scale)
-
-
-@lru_cache(maxsize=32)
 def _rule(dimension: int, counts: tuple) -> SphereQuadrature:
     return SphereQuadrature.build(dimension, counts=counts)
+
+
+def default_quadrature(dimension: int, scale: float = 1.0) -> SphereQuadrature:
+    # an unknown dimension gets no counts, and build rejects it
+    counts = _DEFAULT_NODES.get(dimension, ())
+    return _rule(dimension, tuple(scaled_count(c, scale) for c in counts))
 
 
 @lru_cache(maxsize=64)
@@ -371,7 +359,7 @@ def winding_number(field: VectorField, center, radius: float,
     top = quadrature.counts if quadrature is not None else _DEFAULT_NODES[n]
 
     def build(counts):  # the top rule is built only if the climb reaches it
-        quad = (quadrature or default_quadrature(n)) if counts == top else _rule(n, counts)
+        quad = quadrature if quadrature is not None and counts == top else _rule(n, counts)
         return quad.nodes, quad.weights
 
     scale = radius ** (n - 1) / sphere_area(n)

@@ -297,6 +297,15 @@ def test_readme_sample_is_the_program_output(capsys):
     assert capsys.readouterr().out == sample
 
 
+def test_readme_python_samples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:  # in order: later samples use the first one's imports
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_resolution_scale_multiplies_the_chart_grid(monkeypatch):
     import eulerchar.manifolds as manifolds
 

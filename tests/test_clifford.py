@@ -203,8 +203,8 @@ def test_versor_frames_are_orthonormal():
     for n in (2, 3, 4, 5, 6):
         for _ in range(10):
             frame = versor_frame(random_rotor(n, rng))
-            assert frame.orthonormality_residual() < 1e-10
             m = frame.matrix()
+            assert np.abs(m @ m.T - np.eye(n)).max() < 1e-10
             assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-10
 
 
@@ -375,6 +375,6 @@ def test_batched_frame_matrix_and_grades():
     assert m.shape == (5, n, n)
     for i, u in enumerate(rotors):
         assert np.array_equal(m[i], versor_frame(u).matrix())
-    assert batch.orthonormality_residual() < 1e-10
+    assert np.abs(m @ m.transpose(0, 2, 1) - np.eye(n)).max() < 1e-10
     v = Multivector.from_vector(n, rng.standard_normal((5, n)))
     assert v.coeffs.shape == (5, 2 ** n) and v.grades() == [1]

@@ -5,7 +5,6 @@ import pytest
 from eulerchar.triangulations import (
     ComplexError,
     SimplicialComplex,
-    barycentric_subdivision,
     catalog,
     catalog_names,
     chi_oracle,
@@ -77,26 +76,6 @@ def test_from_maximal_closes_faces():
     c = SimplicialComplex.from_maximal([(3, 1, 7)])
     assert (1, 3) in c.by_dim[1]
     assert (7,) in c.by_dim[0]
-
-
-def test_barycentric_subdivision_preserves_chi():
-    for name in ("S2", "T2", "B2", "S1"):
-        c = catalog(name)
-        s = barycentric_subdivision(c)
-        assert s.euler_characteristic() == c.euler_characteristic()
-
-
-def test_barycentric_subdivision_counts():
-    # triangle: 3 + 3 + 1 = 7 vertices, 6 triangles
-    c = SimplicialComplex.from_maximal([(0, 1, 2)])
-    s = barycentric_subdivision(c)
-    assert s.face_counts() == [7, 12, 6]
-
-
-def test_double_subdivision_of_sphere():
-    c = cross_polytope_boundary(3)
-    s = barycentric_subdivision(barycentric_subdivision(c))
-    assert s.euler_characteristic() == 2
 
 
 def test_chi_oracle_unknown_name():

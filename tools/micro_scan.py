@@ -1,4 +1,4 @@
-"""Time the preimage oracle and the grid scan's corner test on a 4-D ball.
+"""Time the preimage oracle, the grid scan's corner test and the degree density.
 
     python3 tools/micro_scan.py [--repeat R]
 
@@ -8,7 +8,10 @@ spans zero, and checks its enclosing sphere with
 `winding.oracle_degree_preimage`, which counts signed preimages on the
 8,192 cells of `sphere_mesh(4, 3)`.  This times both on a linear field
 and on a quaternion square (a complex-product field for the oracle in
-R^2), R times each (default 50), and prints the median microseconds per
+R^2), R times each (default 50).  It also times `winding._degree_density`,
+the sphere quadrature's integrand, on one block of random s, phi and J:
+512 nodes in R^2 (the top rule), 4,608 in R^3 (the 48 x 96 level) and
+8,192 in R^4 (one full block).  It prints the median microseconds per
 call.  BLAS and OpenMP run on one thread unless the environment says
 otherwise, and eulerchar is imported from this checkout's src/.
 """
@@ -34,11 +37,12 @@ from eulerchar.fields import (  # noqa: E402
     linear_field,
     quaternion_square_field,
 )
-from eulerchar.winding import oracle_degree_preimage  # noqa: E402
+from eulerchar.winding import _degree_density, oracle_degree_preimage  # noqa: E402
 from eulerchar.zeros import DEFAULT_RESOLUTION, _candidate_cells  # noqa: E402
 
 CENTER = np.array([0.1, -0.05, 0.02, 0.03])
 RES = DEFAULT_RESOLUTION[4]
+DENSITY_NODES = {2: 512, 3: 4608, 4: 8192}
 
 
 def fields(rng):
@@ -71,8 +75,15 @@ def cases(rng):
                  lambda f=field: oracle_degree_preimage(f, CENTER, 1.0)),
                 ("scan", name, "11^4 x 4", lambda g=grid: _candidate_cells(g))]
     plane = complex_power_field(2)
-    return out + [("oracle", "complex-power 2", "256 cells",
-                   lambda: oracle_degree_preimage(plane, CENTER[:2], 1.0))]
+    out.append(("oracle", "complex-power 2", "256 cells",
+                lambda: oracle_degree_preimage(plane, CENTER[:2], 1.0)))
+    for n, m in DENSITY_NODES.items():
+        s = rng.standard_normal((m, n))
+        s /= np.linalg.norm(s, axis=1)[:, None]
+        phi, jac = rng.standard_normal((m, n)), rng.standard_normal((m, n, n))
+        out.append(("density", f"random R^{n}", f"{m} nodes",
+                    lambda a=(s, phi, jac): _degree_density(*a)))
+    return out
 
 
 def main(argv=None) -> int:
